@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from .batch import BatchCcrr
 from .deck import Deck, RngStream
 from .ideal import (
     NumericError,
+    apply_b,
+    apply_bt,
+    apply_sym,
     build_kernel,
     g,
     kernel_to_binary,
@@ -81,18 +84,6 @@ def _progress(msg):
     print(msg, file=sys.stderr, flush=True)
 
 
-def _resolve_threads(args):
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("SHUFFLE_SPECTRA_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -148,9 +139,8 @@ def _write_svg_curves(path, bs, us, rows):
 def cmd_kernel(args, parser):
     if args.n < 1:
         parser.error("--n must be >= 1")
-    threads = _resolve_threads(args)
-    _progress(f"building kernel n={args.n} ({args.row_rule}, threads={threads})")
-    kernel = build_kernel(args.n, row_rule=args.row_rule, threads=threads)
+    _progress(f"building kernel n={args.n} ({args.row_rule})")
+    kernel = build_kernel(args.n, row_rule=args.row_rule)
     if args.format == "bin":
         if args.out in (None, "-"):
             parser.error("binary kernel output requires --out PATH")
@@ -169,9 +159,8 @@ def cmd_eigen(args, parser):
         parser.error("--n must be >= 1")
     if args.operator == "B" and args.n < 2:
         parser.error("operator B needs --n >= 2")
-    threads = _resolve_threads(args)
-    _progress(f"building kernel n={args.n} (threads={threads})")
-    kernel = build_kernel(args.n, threads=threads)
+    _progress(f"building kernel n={args.n}")
+    kernel = build_kernel(args.n)
     _progress(f"running {args.operator} solver")
     if args.operator == "S":
         est = second_eig_sym(kernel.sym_matvec, args.n, tol=args.tol,
@@ -185,7 +174,7 @@ def cmd_eigen(args, parser):
     payload = json.loads(est.to_json())
     payload["config"] = {
         "cmd": "eigen", "n": args.n, "operator": args.operator,
-        "tol": args.tol, "maxiter": args.maxiter, "threads": threads,
+        "tol": args.tol, "maxiter": args.maxiter,
     }
     _write_json(args.out, payload)
     if args.vector_out:
@@ -199,25 +188,24 @@ def cmd_simulate(args, parser):
     kind = _parse_kind(args.kind, parser)
     if args.n < 1 or args.rounds < 0 or args.reps < 1:
         parser.error("need --n >= 1, --rounds >= 0, --reps >= 1")
+    if args.stat == "S" and kind is not ShuffleKind.CCRR:
+        parser.error("--stat S is defined for the ccrr kind")
     config = {
         "cmd": "simulate", "kind": kind.value, "n": args.n,
         "rounds": args.rounds, "reps": args.reps, "seed": args.seed,
         "stat": args.stat,
     }
     if args.stat == "S":
-        threads = _resolve_threads(args)
-        _progress(f"building kernel n={args.n} for the eigenvector statistic")
-        kernel = build_kernel(args.n, threads=threads)
-        est = second_eig_b(kernel.matvec, args.n, apply_t=kernel.rmatvec)
+        _progress(f"solving for the eigenvector statistic at n={args.n}")
+        est = second_eig_b(partial(apply_b, args.n), args.n,
+                           apply_t=partial(apply_bt, args.n))
         phi = est.vector
         lam = est.value
         if abs(np.imag(lam)) > 1e-12 or not est.converged:
             _progress("warning: dominant pair flagged complex; "
                       "falling back to the symmetric-part eigenvector")
-            est = second_eig_sym(kernel.sym_matvec, args.n)
+            est = second_eig_sym(partial(apply_sym, args.n), args.n)
             phi, lam = est.vector, est.value
-        if kind is not ShuffleKind.CCRR:
-            parser.error("--stat S is defined for the ccrr kind")
         _progress(f"simulating {args.reps} replicates x {args.rounds} rounds")
         traj = run_lower_bound_experiment(
             args.n, args.rounds, args.reps, np.real(phi), abs(lam), seed=args.seed,
@@ -329,9 +317,6 @@ def build_parser():
                        help="base RNG seed (default %(default)s)")
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
         p.add_argument("--format", choices=list(formats), default=formats[0])
-        p.add_argument("--threads", type=int, default=0,
-                       help="worker threads (default: SHUFFLE_SPECTRA_THREADS "
-                            "or available parallelism)")
 
     p = sub.add_parser("gcurve", help="sample the idealized landing map "
                                       "g(b, u) over the unit interval")

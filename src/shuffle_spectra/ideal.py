@@ -9,16 +9,29 @@ position ``u`` lands, in the large-deck limit, at ``g(b, u)``:
 
 with breakpoint ``u0(b) = 1 - (1-b) * e^b``.  Both branches meet at the
 breakpoint and ``g(b, .)`` is a continuous, strictly increasing bijection of
-[0, 1].  Its inverse (computed here by a warm-started Newton sweep) is the
-CDF of the landing position, so the row of the discretized transition
-matrix ``B(n)`` for start depth ``a = i/n`` is the vector of CDF increments
+[0, 1].  Its inverse is the CDF of the landing position.
+
+On the second branch g depends on (b, u) only through x = e^(-b) (1-u):
+there g = h(x) = e^x - e x, which falls from 1 to 0 on [0, 1].  So
+
+    ginv(b, z) = max(z e^(b-1), 1 - e^b X(z)),    X = h^(-1),
+
+and the one root X(z) per landing position z is shared by every depth.
+It is solved as s(z) = 1 - X(z), the root of expm1(-s) + s = z/e; expm1
+keeps the double root at z = 0 (the top-corner boundary layer) accurate.
+(In Lambert form X = -W0(-e^(-1-z/e)) - z/e; numpy has no W.)
+
+The row of the discretized transition matrix ``B(n)`` for start depth
+``a = i/n`` is the vector of CDF increments
 
     b[i, j] = ginv(a, j/n) - ginv(a, (j-1)/n).
 
-This module builds ``B(n)`` densely, applies its symmetric part
-``S = (B + B^T)/2`` and skew part ``D = (B - B^T)/2`` matrix-free in O(n)
-memory, and provides the exact moments/distribution of the auxiliary
-upward-drift chain Y used to control the single-card motion:
+A row takes the linear branch below its switch column and the second
+branch from it on, so B, B^T and the symmetric and skew parts
+``S = (B + B^T)/2`` and ``D = (B - B^T)/2`` apply matrix-free in O(n)
+from O(n) numbers.  The module also provides the exact moments and
+distribution of the auxiliary upward-drift chain Y used to control the
+single-card motion:
 
     Y_0 = a,   Y_{t+1} = Y_t + 1/n with probability Y_t, else Y_t.
 """
@@ -56,17 +69,8 @@ class NumericError(RuntimeError):
 
 KERNEL_MAGIC = b"CCRKERN1"
 
-# 8-point Gauss-Legendre nodes/weights on (0, 1), for the cell-averaged rows.
-_GAUSS8_NODES = np.array([
-    0.019855071751231884, 0.101666761293186630, 0.237233795041835507,
-    0.408282678752175097, 0.591717321247824903, 0.762766204958164493,
-    0.898333238706813370, 0.980144928248768116,
-])
-_GAUSS8_WEIGHTS = np.array([
-    0.050614268145188130, 0.111190517226687235, 0.156853322938943644,
-    0.181341891689180991, 0.181341891689180991, 0.156853322938943644,
-    0.111190517226687235, 0.050614268145188130,
-])
+_NEWTON_CAP = 50  # the root converges in about 6 steps from its start
+_ROW_BLOCK = 32  # kernel rows per block: keeps the build's temporaries small
 
 
 def _check_unit(name, x):
@@ -123,62 +127,47 @@ def g_prime(b, u, side="auto"):
     return float(out) if out.ndim == 0 else out
 
 
-def _ginv_newton(a, z, u_start, tol, maxiter=100):
-    """Vector Newton solve of g(a, u) = z, warm-started at u_start.
+def _landing_root(z):
+    """s(z) = 1 - X(z): the root in [0, 1] of expm1(-s) + s = z/e.
 
-    a is a scalar depth; z and u_start are same-shape arrays.  Falls back
-    to bisection for any entry that has not met ``tol`` after ``maxiter``
-    Newton steps (never observed for tol >= 1e-12, but guaranteed to
-    terminate because g(a, .) is strictly increasing).
+    Vector Newton from sqrt(2z/e), the root of the leading term s^2/2.  The
+    left side is convex and increasing, so the first step overshoots and
+    the rest descend onto the root; the result is accurate to about 1e-16
+    absolute.  Raises NumericError if the step cap is reached.
     """
-    u = np.array(u_start, dtype=float, copy=True)
-    e1a = np.exp(1.0 - a)
-    ema = np.exp(-a)
-    breakpt = 1.0 - (1.0 - a) * np.exp(a)
-    for _ in range(maxiter):
-        s = np.minimum(e1a * u, np.exp(ema * (1.0 - u)) - (1.0 - u) * e1a) - z
-        bad = np.abs(s) > tol
-        if not bad.any():
-            return u
-        deriv = np.where(u <= breakpt, e1a, e1a - ema * np.exp(ema * (1.0 - u)))
+    w = np.asarray(z, dtype=float) / np.e
+    s = np.sqrt(2.0 * w)
+    for _ in range(_NEWTON_CAP):
+        m = np.expm1(-s)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(bad, s / deriv, 0.0)
-        step[~np.isfinite(step)] = 0.0
-        u -= step
-        np.clip(u, 0.0, 1.0, out=u)
-    return _ginv_bisect(a, z, u, tol)
+            step = np.where(m < 0.0, (m + s - w) / -m, 0.0)  # s = 0 only at z = 0
+        s = s - step
+        if np.all(np.abs(step) <= 1e-15):
+            return s
+    raise NumericError("landing-map root failed to converge")
 
 
-def _ginv_bisect(a, z, u, tol, sweeps=200):
-    """Monotone bisection cleanup for entries Newton left unconverged."""
-    e1a = np.exp(1.0 - a)
-    ema = np.exp(-a)
-
-    def f(x):
-        return np.minimum(e1a * x, np.exp(ema * (1.0 - x)) - (1.0 - x) * e1a)
-
-    s = f(u) - z
-    bad = np.abs(s) > tol
-    if not bad.any():
-        return u
-    lo = np.zeros_like(u)
-    hi = np.ones_like(u)
-    for _ in range(sweeps):
-        mid = 0.5 * (lo + hi)
-        below = f(mid) < z
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.all(hi - lo < 1e-17):
-            break
-    cand = 0.5 * (lo + hi)
-    u = np.where(bad, cand, u)
-    if np.any(np.abs(f(u) - z) > max(tol, 1e-11)):
-        raise NumericError("g_inverse failed to converge")
-    return u
+def _cdf(a, z, s):
+    """Landing CDF ginv(a, z) given s = s(z); a broadcasts against z."""
+    return np.maximum(z * np.exp(a - 1.0), 1.0 - np.exp(a) * (1.0 - s))
 
 
-def g_inverse(b, z, tol=1e-12):
-    """Inverse of g(b, .): the u with |g(b, u) - z| <= tol.
+def _cell_cdf(lo, h, z, s):
+    """Mean of ginv(a, z) over depths a in [lo, lo + h], integrated exactly.
+
+    The second branch holds for a below a* = 1 - log(e X + z) and the
+    linear one above it; t is the switch's offset into the cell.
+    """
+    x = 1.0 - s
+    t = np.clip(1.0 - np.log(np.e * x + z) - lo, 0.0, h)
+    elo = np.exp(lo)
+    second = t - x * elo * np.expm1(t)
+    linear = z * elo * np.exp(t - 1.0) * np.expm1(h - t)
+    return (second + linear) / h
+
+
+def g_inverse(b, z):
+    """Inverse of g(b, .), in closed form over the root s(z).
 
     Scalar b with scalar or vector z.  This is also the CDF of the landing
     position of a card started at depth b.
@@ -186,11 +175,20 @@ def g_inverse(b, z, tol=1e-12):
     b = float(b)
     if not 0.0 <= b <= 1.0:
         raise ValueError("b must lie in [0, 1]")
-    z_arr = _check_unit("z", z)
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
-    u = _ginv_newton(b, z_arr, z_arr, tol)
-    return float(u[0]) if scalar else u
+    z = _check_unit("z", z)
+    u = _cdf(b, z, _landing_root(z))
+    return float(u) if u.ndim == 0 else u
+
+
+def _by_parts(apply, v):
+    """apply(v) for a real linear map, taking a complex v part by part.
+
+    Keeps numpy from casting a real matrix to complex (a full copy of it)
+    when it meets a complex vector.
+    """
+    if np.iscomplexobj(v):
+        return apply(v.real) + 1j * apply(v.imag)
+    return apply(v)
 
 
 @dataclass
@@ -200,7 +198,7 @@ class GridKernel:
     Row i gives the landing distribution of a card starting at depth
     a = i/n exactly ("endpoint" rule) or averaged over the cell
     ((i-1)/n, i/n) ("cell-average" rule, under which the matrix is doubly
-    stochastic up to quadrature error).
+    stochastic to rounding).
     """
 
     n: int
@@ -214,16 +212,16 @@ class GridKernel:
         return self.probs.sum(axis=0)
 
     def matvec(self, v):
-        return self.probs @ v
+        return _by_parts(lambda u: self.probs @ u, v)
 
     def rmatvec(self, v):
-        return self.probs.T @ v
+        return _by_parts(lambda u: self.probs.T @ u, v)
 
     def sym_matvec(self, v):
-        return 0.5 * (self.probs @ v + self.probs.T @ v)
+        return _by_parts(lambda u: 0.5 * (self.probs @ u + self.probs.T @ u), v)
 
     def skew_matvec(self, v):
-        return 0.5 * (self.probs @ v - self.probs.T @ v)
+        return _by_parts(lambda u: 0.5 * (self.probs @ u - self.probs.T @ u), v)
 
     def validate(self, row_tol=1e-9, col_slack=30.0):
         """Check stochasticity: rows to row_tol, columns to col_slack/n.
@@ -242,124 +240,97 @@ class GridKernel:
         return self
 
 
-_BUILD_BLOCK = 512  # rows per warm-start block; fixed so results never depend
-                    # on the thread count
-
-
-def _build_rows(n, row_rule, tol, lo_row, hi_row, out):
-    """Fill rows lo_row..hi_row-1 (0-based) of ``out`` with kernel rows."""
-    z = np.arange(n + 1) / n
-    if row_rule == "endpoint":
-        u = z.copy()
-        for i in range(lo_row + 1, hi_row + 1):
-            u = _ginv_newton(i / n, z, u, tol)
-            np.subtract(u[1:], u[:-1], out=out[i - 1])
-    else:
-        us = [z.copy() for _ in range(len(_GAUSS8_NODES))]
-        for i in range(lo_row + 1, hi_row + 1):
-            lo = (i - 1) / n
-            row = np.zeros(n)
-            for k, (node, wt) in enumerate(zip(_GAUSS8_NODES, _GAUSS8_WEIGHTS)):
-                us[k] = _ginv_newton(lo + node / n, z, us[k], tol)
-                row += wt * np.diff(us[k])
-            out[i - 1] = row
-
-
-def build_kernel(n, row_rule="endpoint", tol=1e-12, threads=1, progress=None):
+def build_kernel(n, row_rule="endpoint"):
     """Build the n x n landing-distribution matrix B(n).
 
-    Each row is a sweep of CDF values ginv(a, j/n), j = 0..n, differenced;
-    sweeps warm-start row to row inside fixed blocks of rows, so the build
-    takes a handful of Newton iterations per row and is bitwise identical
-    for every thread count.  ``row_rule`` picks the depth convention
-    ("endpoint": a = i/n exactly; "cell-average": a averaged over the cell
-    with an 8-point Gauss rule, under which the kernel is doubly
-    stochastic up to quadrature error).
+    Each row is the landing CDF on the grid j/n, j = 0..n, differenced;
+    the root s(j/n) is solved once and every row is closed form over it.
+    ``row_rule`` picks the depth convention ("endpoint": a = i/n exactly;
+    "cell-average": the CDF integrated exactly over a in ((i-1)/n, i/n),
+    under which the kernel is doubly stochastic to rounding).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if row_rule not in ("endpoint", "cell-average"):
         raise ValueError("row_rule must be 'endpoint' or 'cell-average'")
+    z = np.arange(n + 1) / n
+    s = _landing_root(z)
     probs = np.empty((n, n))
-    blocks = [(lo, min(lo + _BUILD_BLOCK, n)) for lo in range(0, n, _BUILD_BLOCK)]
-    if threads > 1 and len(blocks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [
-                pool.submit(_build_rows, n, row_rule, tol, lo, hi, probs)
-                for lo, hi in blocks
-            ]
-            for k, f in enumerate(futs):
-                f.result()
-                if progress is not None:
-                    progress(min((k + 1) * _BUILD_BLOCK, n), n)
-    else:
-        for k, (lo, hi) in enumerate(blocks):
-            _build_rows(n, row_rule, tol, lo, hi, probs)
-            if progress is not None:
-                progress(hi, n)
+    for lo in range(0, n, _ROW_BLOCK):
+        rows = np.arange(lo, min(lo + _ROW_BLOCK, n))[:, None]
+        if row_rule == "endpoint":
+            cdf = _cdf((rows + 1) / n, z, s)
+        else:
+            cdf = _cell_cdf(rows / n, 1.0 / n, z, s)
+        np.subtract(cdf[:, 1:], cdf[:, :-1], out=probs[lo : lo + len(rows)])
     np.clip(probs, 0.0, None, out=probs)
     return GridKernel(n=n, probs=probs, row_rule=row_rule)
 
 
-def _row_sweep(n, x, sign, tol=1e-12):
-    """Shared core of the matrix-free applies.
+def _row_switch(n):
+    """The O(n) numbers behind the endpoint rows of B(n).
 
-    Accumulates y = (B x + sign * B^T x) / 2 one row at a time: row i is
-    recovered from the warm-started CDF sweep, contributes its dot with x
-    to y[i] (the B x part) and x[i] times itself to y (the B^T x part).
+    Row i (depth a = i/n) takes the linear branch of its CDF below its
+    switch column k_i and the second branch from k_i on (where
+    e X(j/n) + j/n <= e^(1-a); the left side falls in j, and k_i never
+    falls in i).  Its entries are e^(a-1)/n before column k_i, ``cross_i``
+    at it and e^a (s_j - s_(j-1)) after it.  Returns (e^a, diff(s), k,
+    cross) with 1-based columns k.
     """
-    x = np.asarray(x, dtype=float)
+    z = np.arange(n + 1) / n
+    s = _landing_root(z)
+    a = np.arange(1, n + 1) / n
+    level = np.e * (1.0 - s) + z
+    k = np.minimum(np.searchsorted(-level, -np.exp(1.0 - a)), n)
+    ea = np.exp(a)
+    cross = 1.0 - ea * (1.0 - s[k]) - z[k - 1] * np.exp(a - 1.0)
+    return ea, np.diff(s), k, cross
+
+
+def _vector(n, x):
+    x = np.asarray(x)
     if x.shape != (n,):
         raise ValueError(f"expected a length-{n} vector")
-    z = np.arange(n + 1) / n
-    u = z.copy()
-    y = np.zeros(n)
-    for i in range(1, n + 1):
-        u = _ginv_newton(i / n, z, u, tol)
-        r = np.diff(u)
-        y[i - 1] += r @ x
-        y += (sign * x[i - 1]) * r
-    return 0.5 * y
+    return x if np.iscomplexobj(x) else x.astype(float, copy=False)
 
 
-def apply_b(n, x, tol=1e-12):
-    """Matrix-free B(n) @ x (endpoint rows), O(n) memory."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"expected a length-{n} vector")
-    z = np.arange(n + 1) / n
-    u = z.copy()
-    y = np.empty(n)
-    for i in range(1, n + 1):
-        u = _ginv_newton(i / n, z, u, tol)
-        y[i - 1] = np.diff(u) @ x
-    return y
+def apply_b(n, x):
+    """Matrix-free B(n) @ x (endpoint rows): O(n) after an O(n log n) setup."""
+    x = _vector(n, x)
+    ea, ds, k, cross = _row_switch(n)
+
+    def apply(v):
+        head = np.concatenate(([0.0], np.cumsum(v)))
+        tail = np.concatenate(([0.0], np.cumsum(ds * v)))
+        return (ea / (np.e * n) * head[k - 1] + cross * v[k - 1]
+                + ea * (tail[n] - tail[k]))
+
+    return _by_parts(apply, x)
 
 
-def apply_bt(n, x, tol=1e-12):
-    """Matrix-free B(n).T @ x (endpoint rows), O(n) memory."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"expected a length-{n} vector")
-    z = np.arange(n + 1) / n
-    u = z.copy()
-    y = np.zeros(n)
-    for i in range(1, n + 1):
-        u = _ginv_newton(i / n, z, u, tol)
-        y += x[i - 1] * np.diff(u)
-    return y
+def apply_bt(n, x):
+    """Matrix-free B(n).T @ x (endpoint rows): O(n) after an O(n log n) setup."""
+    x = _vector(n, x)
+    ea, ds, k, cross = _row_switch(n)
+    cols = np.arange(1, n + 1)
+    before, after = np.searchsorted(k, cols, "left"), np.searchsorted(k, cols, "right")
+
+    def apply(v):
+        acc = np.concatenate(([0.0], np.cumsum(ea * v)))
+        return (ds * acc[before] + (acc[n] - acc[after]) / (np.e * n)
+                + np.bincount(k - 1, cross * v, minlength=n))
+
+    return _by_parts(apply, x)
 
 
-def apply_sym(n, x, tol=1e-12):
-    """Matrix-free (B + B^T)/2 @ x, O(n) memory."""
-    return _row_sweep(n, x, +1.0, tol)
+def apply_sym(n, x):
+    """Matrix-free (B + B^T)/2 @ x in O(n)."""
+    return 0.5 * (apply_b(n, x) + apply_bt(n, x))
 
 
-def apply_skew(n, x, tol=1e-12):
-    """Matrix-free (B - B^T)/2 @ x, O(n) memory."""
-    return _row_sweep(n, x, -1.0, tol)
+def apply_skew(n, x):
+    """Matrix-free (B - B^T)/2 @ x in O(n)."""
+    return 0.5 * (apply_b(n, x) - apply_bt(n, x))
 
 
 def y_moments(n, a, t):
@@ -445,7 +416,12 @@ def kernel_from_binary(path):
         if magic != KERNEL_MAGIC:
             raise ValueError("not a kernel file (bad magic)")
         (n,) = struct.unpack("<Q", fh.read(8))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != n * n:
-        raise ValueError("kernel file truncated")
+        payload = fh.read()
+    want = 8 * n * n
+    if len(payload) < want:
+        raise ValueError(f"kernel file truncated: {len(payload)} of {want} payload bytes")
+    if len(payload) > want:
+        raise ValueError(f"kernel file too long: {len(payload)} payload bytes, "
+                         f"expected {want}")
+    data = np.frombuffer(payload, dtype="<f8")
     return GridKernel(n=int(n), probs=data.reshape(int(n), int(n)).copy())

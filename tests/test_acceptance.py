@@ -19,6 +19,7 @@ from shuffle_spectra import (
     PermDistribution,
     RngStream,
     ShuffleKind,
+    apply_sym,
     build_kernel,
     check_conditional_bands,
     empirical_single_card,
@@ -218,6 +219,21 @@ def test_criterion_4_residual_pipeline(kernel_1e4, kernel_1e3):
         "4 (residual pipeline to n=1e4)", ok,
         f"base 1e3 residual={res_1e3:.5f} (<0.01); base 2e3 residual="
         f"{res_2e3:.5f} (decreasing)",
+    )
+
+
+def test_full_scale_certificate(est_s_1e4):
+    # the README's full-scale run: the n = 1e4 eigenvector, k = 25 smoothing,
+    # interpolation to n = 1e5, residual against the O(n) apply_sym
+    n = 100_000
+    t0 = time.perf_counter()
+    psi = interpolate(smooth_boundary(est_s_1e4.vector, 25), n)
+    res = residual(lambda v: apply_sym(n, v), psi, est_s_1e4.value.real,
+                   convention="function")
+    elapsed = time.perf_counter() - t0
+    assert report(
+        "full-scale certificate (1e4 -> 1e5)", res < 0.0012,
+        f"residual={res:.6f} (<0.0012) in {elapsed:.2f}s",
     )
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from shuffle_spectra import build_kernel, kernel_from_binary
+from shuffle_spectra import build_kernel, cli, kernel_from_binary
 from shuffle_spectra.cli import main
 
 
@@ -171,6 +171,15 @@ class TestSimulateCmd:
         _, _, rows = read_csv(out)
         assert len(rows) == 3
 
+    def test_stat_s_kind_checked_before_solving(self, monkeypatch):
+        def solver(*args, **kwargs):
+            raise AssertionError("solved before validating --kind")
+
+        monkeypatch.setattr(cli, "second_eig_b", solver)
+        monkeypatch.setattr(cli, "second_eig_sym", solver)
+        assert run_cli(["simulate", "--kind", "top", "--n", "2000",
+                        "--stat", "S"]) == 2
+
     def test_unknown_kind(self):
         assert run_cli(["simulate", "--kind", "riffle", "--n", "10"]) == 2
 
@@ -213,17 +222,6 @@ class TestSingleCardCmd:
     def test_off_grid_a_rejected(self):
         assert run_cli(["singlecard", "--n", "100", "--a", "0.5005",
                         "--reps", "10"]) == 2
-
-
-class TestThreads:
-    def test_env_var_fallback(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        monkeypatch.setenv("SHUFFLE_SPECTRA_THREADS", "3")
-        assert run_cli(["kernel", "--n", "600", "--out", str(a)]) == 0
-        monkeypatch.delenv("SHUFFLE_SPECTRA_THREADS")
-        assert run_cli(["kernel", "--n", "600", "--threads", "1",
-                        "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()  # thread count never changes output
 
 
 class TestHelp:

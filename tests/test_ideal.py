@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from shuffle_spectra import (
+    NumericError,
     apply_b,
     apply_bt,
     apply_skew,
@@ -19,7 +21,7 @@ from shuffle_spectra import (
     y_distribution,
     y_moments,
 )
-from shuffle_spectra.ideal import _ginv_bisect, _ginv_newton
+from shuffle_spectra import ideal
 
 
 def g_piecewise(b, u):
@@ -171,11 +173,24 @@ class TestGInverse:
         with pytest.raises(ValueError):
             g_inverse(2.0, 0.5)
 
-    def test_bisection_fallback_agrees(self):
-        z = np.linspace(0, 1, 101)
-        newton = _ginv_newton(0.35, z, z, 1e-12)
-        bisect = _ginv_bisect(0.35, z, np.full_like(z, 0.5), 1e-10)
-        np.testing.assert_allclose(newton, bisect, atol=1e-9, rtol=0)
+    def test_root_matches_lambert_w_oracle(self):
+        # at depth 0 the inverse is the root s(z) = 1 - X(z) itself; mpmath's
+        # Lambert form X = -W0(-e^(-1-z/e)) - z/e at 50 digits is the oracle
+        mpmath = pytest.importorskip("mpmath")
+        zs = [0.0, 1e-14, 1e-8, 1e-3, 0.5, 0.9, 1.0]
+        with mpmath.workdps(50):
+            oracle = [
+                1 + mpmath.lambertw(-mpmath.exp(-1 - mpmath.mpf(z) / mpmath.e))
+                + mpmath.mpf(z) / mpmath.e
+                for z in zs
+            ]
+            errs = [abs(mpmath.mpf(s) - w.real) for s, w in zip(g_inverse(0.0, zs), oracle)]
+        assert max(float(e) for e in errs) <= 1e-15
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(ideal, "_NEWTON_CAP", 1)
+        with pytest.raises(NumericError):
+            g_inverse(0.3, 0.5)
 
 
 class TestBuildKernel:
@@ -213,17 +228,37 @@ class TestBuildKernel:
         assert dev_avg < dev_end
         np.testing.assert_allclose(k_avg.row_sums(), 1.0, atol=1e-9, rtol=0)
 
+    @pytest.mark.parametrize("n", [1, 7, 100, 1000])
+    def test_cell_average_rule_is_doubly_stochastic(self, n):
+        # the integral of ginv(a, z) over a in [0, 1] is z, so the exact
+        # cell averages leave every column summing to 1
+        k_avg = build_kernel(n, row_rule="cell-average")
+        assert np.abs(k_avg.col_sums() - 1.0).max() <= 1e-12
+        assert np.abs(k_avg.row_sums() - 1.0).max() <= 1e-12
+
+    def test_rows_match_bisection_cdfs(self):
+        # an oracle apart from the root: every row's CDF by bisection on g
+        n = 500
+        a = (np.arange(n) + 1.0)[:, None] / n
+        z = np.arange(n + 1) / n
+        lo, hi = np.zeros((n, n + 1)), np.ones((n, n + 1))
+        e1a = np.exp(1.0 - a)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            val = np.minimum(e1a * mid, np.exp(np.exp(-a) * (1.0 - mid)) - (1.0 - mid) * e1a)
+            below = val < z
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        cdf = 0.5 * (lo + hi)
+        probs = build_kernel(n).probs
+        assert np.abs(probs - np.diff(cdf, axis=1)).max() <= 1e-14
+
     def test_adjacent_row_tv(self, kernel100):
         tv = 0.5 * np.abs(np.diff(kernel100.probs, axis=0)).sum(axis=1).max()
         assert tv <= 11.0 / 100
 
     def test_validate(self, kernel100):
         kernel100.validate()
-
-    def test_threads_deterministic(self):
-        a = build_kernel(700, threads=1)
-        b = build_kernel(700, threads=3)
-        assert np.array_equal(a.probs, b.probs)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -272,6 +307,31 @@ class TestMatrixFreeApplies:
         v = rng.standard_normal(n)
         np.testing.assert_allclose(apply_b(n, v), kernel100.probs @ v, atol=1e-9, rtol=0)
         np.testing.assert_allclose(apply_bt(n, v), kernel100.probs.T @ v, atol=1e-9, rtol=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    def test_complex_input_matches_dense(self, n):
+        k = build_kernel(n)
+        rng = np.random.default_rng(10)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        p = k.probs
+        for apply, dense in ((apply_b, p), (apply_bt, p.T),
+                             (apply_sym, 0.5 * (p + p.T)), (apply_skew, 0.5 * (p - p.T))):
+            np.testing.assert_allclose(apply(n, v), dense @ v, atol=1e-14, rtol=0)
+
+    def test_kernel_complex_apply_keeps_the_kernel_real(self):
+        # a complex vector must not cast the n x n kernel to complex128
+        n = 1000
+        k = build_kernel(n)
+        rng = np.random.default_rng(11)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            out = k.skew_matvec(v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < k.probs.nbytes
+        np.testing.assert_allclose(out, 0.5 * (k.probs @ v - k.probs.T @ v), atol=1e-14)
 
     def test_all_ones(self):
         n = 250
@@ -371,6 +431,17 @@ class TestKernelIO:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOTAKERN" + b"\0" * 16)
         with pytest.raises(ValueError):
+            kernel_from_binary(path)
+
+    @pytest.mark.parametrize("cut, extra, message", [(8, b"", "truncated"),
+                                                     (3, b"", "truncated"),
+                                                     (0, b"\0" * 8, "too long")])
+    def test_wrong_payload_length(self, tmp_path, cut, extra, message):
+        path = tmp_path / "k.bin"
+        kernel_to_binary(build_kernel(4), path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - cut] + extra)
+        with pytest.raises(ValueError, match=message):
             kernel_from_binary(path)
 
     def test_csv_full_precision(self, tmp_path):
