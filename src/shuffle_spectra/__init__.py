@@ -8,13 +8,11 @@ deck sizes, and the eigenvector-statistic lower-bound experiment.
 __version__ = "0.1.0"
 
 from .batch import BatchCcrr, batch_round_positions, uniform_positions
-from .deck import Deck, FastDeck, RngStream, positions_vector, remove_insert
+from .deck import Deck, FastDeck, RngStream, positions_vector
 from .ideal import (
     GridKernel,
+    MatrixFreeKernel,
     NumericError,
-    apply_b,
-    apply_bt,
-    apply_skew,
     apply_sym,
     build_kernel,
     g,
@@ -33,7 +31,6 @@ from .mixing import (
     SingleCardStats,
     StatTrajectory,
     TestStatistic,
-    build_test_statistic,
     check_conditional_bands,
     empirical_single_card,
     exact_round_push,
@@ -58,13 +55,13 @@ from .spectral import (
 __all__ = [
     "__version__",
     "BatchCcrr", "batch_round_positions", "uniform_positions",
-    "Deck", "FastDeck", "RngStream", "positions_vector", "remove_insert",
-    "GridKernel", "NumericError", "apply_b", "apply_bt", "apply_skew",
-    "apply_sym", "build_kernel", "g", "g_inverse", "g_prime",
+    "Deck", "FastDeck", "RngStream", "positions_vector",
+    "GridKernel", "MatrixFreeKernel", "NumericError", "apply_sym",
+    "build_kernel", "g", "g_inverse", "g_prime",
     "kernel_from_binary", "kernel_to_binary", "kernel_to_csv", "u0",
     "y_distribution", "y_moments",
     "CapabilityError", "PermDistribution", "SingleCardStats", "StatTrajectory",
-    "TestStatistic", "build_test_statistic", "check_conditional_bands",
+    "TestStatistic", "check_conditional_bands",
     "empirical_single_card", "exact_round_push", "exact_single_card_kernel",
     "round_position_law", "run_lower_bound_experiment", "tv_to_uniform",
     "RoundTrace", "ShuffleKind", "run_round", "run_rounds",

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 
 import numpy as np
 
@@ -21,10 +20,8 @@ from . import __version__
 from .batch import BatchCcrr
 from .deck import Deck, RngStream
 from .ideal import (
+    MatrixFreeKernel,
     NumericError,
-    apply_b,
-    apply_bt,
-    apply_sym,
     build_kernel,
     g,
     kernel_to_binary,
@@ -159,23 +156,21 @@ def cmd_eigen(args, parser):
         parser.error("--n must be >= 1")
     if args.operator == "B" and args.n < 2:
         parser.error("operator B needs --n >= 2")
+    if args.maxiter < 1 or not args.tol > 0.0:
+        parser.error("need --maxiter >= 1 and --tol > 0")
     _progress(f"building kernel n={args.n}")
     kernel = build_kernel(args.n)
     _progress(f"running {args.operator} solver")
+    solve = {"tol": args.tol, "maxiter": args.maxiter, "seed": args.seed}
     if args.operator == "S":
-        est = second_eig_sym(kernel.sym_matvec, args.n, tol=args.tol,
-                             maxiter=args.maxiter)
+        est = second_eig_sym(kernel.sym_matvec, args.n, **solve)
     elif args.operator == "D":
-        est = skew_norm(kernel.skew_matvec, args.n, tol=args.tol,
-                        maxiter=args.maxiter)
+        est = skew_norm(kernel.skew_matvec, args.n, **solve)
     else:
-        est = second_eig_b(kernel.matvec, args.n, tol=args.tol,
-                           maxiter=args.maxiter, apply_t=kernel.rmatvec)
+        est = second_eig_b(kernel.matvec, args.n, apply_t=kernel.rmatvec, **solve)
     payload = json.loads(est.to_json())
-    payload["config"] = {
-        "cmd": "eigen", "n": args.n, "operator": args.operator,
-        "tol": args.tol, "maxiter": args.maxiter,
-    }
+    payload["config"] = {"cmd": "eigen", "n": args.n, "operator": args.operator,
+                         **solve}
     _write_json(args.out, payload)
     if args.vector_out:
         rows = [(i + 1, float(np.real(v)), float(np.imag(v)))
@@ -190,6 +185,8 @@ def cmd_simulate(args, parser):
         parser.error("need --n >= 1, --rounds >= 0, --reps >= 1")
     if args.stat == "S" and kind is not ShuffleKind.CCRR:
         parser.error("--stat S is defined for the ccrr kind")
+    if args.stat == "S" and args.n < 2:
+        parser.error("--stat S needs --n >= 2")
     config = {
         "cmd": "simulate", "kind": kind.value, "n": args.n,
         "rounds": args.rounds, "reps": args.reps, "seed": args.seed,
@@ -197,14 +194,14 @@ def cmd_simulate(args, parser):
     }
     if args.stat == "S":
         _progress(f"solving for the eigenvector statistic at n={args.n}")
-        est = second_eig_b(partial(apply_b, args.n), args.n,
-                           apply_t=partial(apply_bt, args.n))
+        op = MatrixFreeKernel(args.n)
+        est = second_eig_b(op.matvec, args.n, apply_t=op.rmatvec)
         phi = est.vector
         lam = est.value
         if abs(np.imag(lam)) > 1e-12 or not est.converged:
             _progress("warning: dominant pair flagged complex; "
                       "falling back to the symmetric-part eigenvector")
-            est = second_eig_sym(partial(apply_sym, args.n), args.n)
+            est = second_eig_sym(op.sym_matvec, args.n)
             phi, lam = est.vector, est.value
         _progress(f"simulating {args.reps} replicates x {args.rounds} rounds")
         traj = run_lower_bound_experiment(
@@ -273,8 +270,8 @@ def cmd_singlecard(args, parser):
     if args.n < 1:
         parser.error("--n must be >= 1")
     k0 = round(args.a * args.n)
-    if k0 < 1 or abs(k0 / args.n - args.a) > 1e-9:
-        parser.error("--a must be a grid point i/n")
+    if not 1 <= k0 <= args.n or abs(k0 / args.n - args.a) > 1e-9:
+        parser.error("--a must be a grid point i/n in (0, 1]")
     if args.reps < 1:
         parser.error("--reps must be >= 1")
     _progress(f"simulating {args.reps} tracked rounds at n={args.n}")
@@ -312,9 +309,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, formats=("csv", "json")):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="base RNG seed (default %(default)s)")
+    def common(p, formats=("csv", "json"), seed="base RNG seed (default %(default)s)"):
+        if seed:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=seed)
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
         p.add_argument("--format", choices=list(formats), default=formats[0])
 
@@ -324,7 +321,7 @@ def build_parser():
                    help="comma-separated start depths in [0, 1]")
     p.add_argument("--samples", type=int, default=101)
     p.add_argument("--svg", default=None, help="also write an SVG polyline plot")
-    common(p)
+    common(p, seed=None)
     p.set_defaults(func=cmd_gcurve)
 
     p = sub.add_parser("kernel", help="build and export the single-card "
@@ -332,7 +329,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--row-rule", choices=["endpoint", "cell-average"],
                    default="endpoint", dest="row_rule")
-    common(p, formats=("csv", "bin"))
+    common(p, formats=("csv", "bin"), seed=None)
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("eigen", help="second eigenvalue of S or B, or the "
@@ -343,7 +340,7 @@ def build_parser():
     p.add_argument("--maxiter", type=int, default=100000)
     p.add_argument("--vector-out", default=None, dest="vector_out",
                    help="also write the eigenvector as CSV")
-    common(p)
+    common(p, seed="seed of the solver's random start vector (default %(default)s)")
     p.set_defaults(func=cmd_eigen)
 
     p = sub.add_parser("simulate", help="Monte Carlo rounds: eigenvector "
@@ -362,7 +359,8 @@ def build_parser():
     p.add_argument("--kind", default="ccrr")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rounds", type=int, default=6)
-    common(p)
+    common(p, seed="accepted so every run takes --seed; exact tables draw "
+                   "no random numbers")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("singlecard", help="empirical conditional law of a "

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Deck", "FastDeck", "RngStream", "remove_insert", "positions_vector"]
+__all__ = ["Deck", "FastDeck", "RngStream", "positions_vector"]
 
 
 class RngStream:
@@ -125,11 +125,6 @@ class Deck:
 
     def __repr__(self):
         return f"Deck({self.order})"
-
-
-def remove_insert(deck, card, slot):
-    """Functional form of Deck.remove_insert (mutates and returns deck)."""
-    return deck.remove_insert(card, slot)
 
 
 def positions_vector(deck) -> np.ndarray:

@@ -51,10 +51,8 @@ __all__ = [
     "g_prime",
     "g_inverse",
     "build_kernel",
-    "apply_b",
-    "apply_bt",
+    "MatrixFreeKernel",
     "apply_sym",
-    "apply_skew",
     "y_moments",
     "y_distribution",
     "kernel_to_csv",
@@ -186,13 +184,33 @@ def _by_parts(apply, v):
     Keeps numpy from casting a real matrix to complex (a full copy of it)
     when it meets a complex vector.
     """
+    v = np.asarray(v)
     if np.iscomplexobj(v):
         return apply(v.real) + 1j * apply(v.imag)
     return apply(v)
 
 
+class _KernelApplies:
+    """B, B^T, S = (B + B^T)/2 and D = (B - B^T)/2 applied to a vector.
+
+    A subclass supplies ``_b`` and ``_bt``, the real applies of B and B^T.
+    """
+
+    def matvec(self, v):
+        return _by_parts(self._b, v)
+
+    def rmatvec(self, v):
+        return _by_parts(self._bt, v)
+
+    def sym_matvec(self, v):
+        return _by_parts(lambda u: 0.5 * (self._b(u) + self._bt(u)), v)
+
+    def skew_matvec(self, v):
+        return _by_parts(lambda u: 0.5 * (self._b(u) - self._bt(u)), v)
+
+
 @dataclass
-class GridKernel:
+class GridKernel(_KernelApplies):
     """Dense one-round transition matrix on the depth grid {1/n, ..., 1}.
 
     Row i gives the landing distribution of a card starting at depth
@@ -211,17 +229,11 @@ class GridKernel:
     def col_sums(self):
         return self.probs.sum(axis=0)
 
-    def matvec(self, v):
-        return _by_parts(lambda u: self.probs @ u, v)
+    def _b(self, u):
+        return self.probs @ u
 
-    def rmatvec(self, v):
-        return _by_parts(lambda u: self.probs.T @ u, v)
-
-    def sym_matvec(self, v):
-        return _by_parts(lambda u: 0.5 * (self.probs @ u + self.probs.T @ u), v)
-
-    def skew_matvec(self, v):
-        return _by_parts(lambda u: 0.5 * (self.probs @ u - self.probs.T @ u), v)
+    def _bt(self, u):
+        return self.probs.T @ u
 
     def validate(self, row_tol=1e-9, col_slack=30.0):
         """Check stochasticity: rows to row_tol, columns to col_slack/n.
@@ -267,70 +279,59 @@ def build_kernel(n, row_rule="endpoint"):
     return GridKernel(n=n, probs=probs, row_rule=row_rule)
 
 
-def _row_switch(n):
-    """The O(n) numbers behind the endpoint rows of B(n).
+class MatrixFreeKernel(_KernelApplies):
+    """B(n) with endpoint rows, applied matrix-free in O(n).
 
     Row i (depth a = i/n) takes the linear branch of its CDF below its
     switch column k_i and the second branch from k_i on (where
     e X(j/n) + j/n <= e^(1-a); the left side falls in j, and k_i never
     falls in i).  Its entries are e^(a-1)/n before column k_i, ``cross_i``
-    at it and e^a (s_j - s_(j-1)) after it.  Returns (e^a, diff(s), k,
-    cross) with 1-based columns k.
+    at it and e^a (s_j - s_(j-1)) after it, so each apply is a few prefix
+    sums over O(n) numbers, which the O(n log n) constructor computes once.
     """
-    z = np.arange(n + 1) / n
-    s = _landing_root(z)
-    a = np.arange(1, n + 1) / n
-    level = np.e * (1.0 - s) + z
-    k = np.minimum(np.searchsorted(-level, -np.exp(1.0 - a)), n)
-    ea = np.exp(a)
-    cross = 1.0 - ea * (1.0 - s[k]) - z[k - 1] * np.exp(a - 1.0)
-    return ea, np.diff(s), k, cross
 
+    def __init__(self, n):
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        self.n = n
+        z = np.arange(n + 1) / n
+        s = _landing_root(z)
+        a = np.arange(1, n + 1) / n
+        level = np.e * (1.0 - s) + z
+        k = np.minimum(np.searchsorted(-level, -np.exp(1.0 - a)), n)  # 1-based
+        self._ea = np.exp(a)
+        self._ds = np.diff(s)
+        self._k = k
+        self._cross = 1.0 - self._ea * (1.0 - s[k]) - z[k - 1] * np.exp(a - 1.0)
+        # column j is on the second branch in rows i < before_j (k_i < j)
+        # and on the linear branch in rows i >= after_j (k_i > j)
+        cols = np.arange(1, n + 1)
+        self._before = np.searchsorted(k, cols, "left")
+        self._after = np.searchsorted(k, cols, "right")
 
-def _vector(n, x):
-    x = np.asarray(x)
-    if x.shape != (n,):
-        raise ValueError(f"expected a length-{n} vector")
-    return x if np.iscomplexobj(x) else x.astype(float, copy=False)
+    def _vector(self, v):
+        v = np.asarray(v)
+        if v.shape != (self.n,):
+            raise ValueError(f"expected a length-{self.n} vector")
+        return v.astype(float, copy=False)
 
-
-def apply_b(n, x):
-    """Matrix-free B(n) @ x (endpoint rows): O(n) after an O(n log n) setup."""
-    x = _vector(n, x)
-    ea, ds, k, cross = _row_switch(n)
-
-    def apply(v):
+    def _b(self, v):
+        v, n, k = self._vector(v), self.n, self._k
         head = np.concatenate(([0.0], np.cumsum(v)))
-        tail = np.concatenate(([0.0], np.cumsum(ds * v)))
-        return (ea / (np.e * n) * head[k - 1] + cross * v[k - 1]
-                + ea * (tail[n] - tail[k]))
+        tail = np.concatenate(([0.0], np.cumsum(self._ds * v)))
+        return (self._ea / (np.e * n) * head[k - 1] + self._cross * v[k - 1]
+                + self._ea * (tail[n] - tail[k]))
 
-    return _by_parts(apply, x)
-
-
-def apply_bt(n, x):
-    """Matrix-free B(n).T @ x (endpoint rows): O(n) after an O(n log n) setup."""
-    x = _vector(n, x)
-    ea, ds, k, cross = _row_switch(n)
-    cols = np.arange(1, n + 1)
-    before, after = np.searchsorted(k, cols, "left"), np.searchsorted(k, cols, "right")
-
-    def apply(v):
-        acc = np.concatenate(([0.0], np.cumsum(ea * v)))
-        return (ds * acc[before] + (acc[n] - acc[after]) / (np.e * n)
-                + np.bincount(k - 1, cross * v, minlength=n))
-
-    return _by_parts(apply, x)
+    def _bt(self, v):
+        v, n = self._vector(v), self.n
+        acc = np.concatenate(([0.0], np.cumsum(self._ea * v)))
+        return (self._ds * acc[self._before] + (acc[n] - acc[self._after]) / (np.e * n)
+                + np.bincount(self._k - 1, self._cross * v, minlength=n))
 
 
 def apply_sym(n, x):
-    """Matrix-free (B + B^T)/2 @ x in O(n)."""
-    return 0.5 * (apply_b(n, x) + apply_bt(n, x))
-
-
-def apply_skew(n, x):
-    """Matrix-free (B - B^T)/2 @ x in O(n)."""
-    return 0.5 * (apply_b(n, x) - apply_bt(n, x))
+    """Matrix-free (B + B^T)/2 @ x in O(n); builds a MatrixFreeKernel(n)."""
+    return MatrixFreeKernel(n).sym_matvec(x)
 
 
 def y_moments(n, a, t):

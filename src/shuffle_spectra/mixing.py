@@ -47,7 +47,6 @@ __all__ = [
     "empirical_single_card",
     "check_conditional_bands",
     "TestStatistic",
-    "build_test_statistic",
     "StatTrajectory",
     "run_lower_bound_experiment",
 ]
@@ -416,8 +415,8 @@ def empirical_single_card(n, a, reps, seed=12345, stream_base=1, buckets=50,
     U and the unconditional landing histogram (the empirical kernel row).
     """
     k0 = round(a * n)
-    if k0 < 1 or abs(k0 / n - a) > 1e-12:
-        raise ValueError("a must be a grid point i/n")
+    if not 1 <= k0 <= n or abs(k0 / n - a) > 1e-12:
+        raise ValueError("a must be a grid point i/n in (0, 1]")
     z_all = np.empty(reps)
     u_all = np.empty(reps)
     row_hist = np.zeros(n, dtype=np.int64)
@@ -519,10 +518,6 @@ class TestStatistic:
     def s0(self):
         """Value on the sorted deck (cards at their own positions)."""
         return self.phi[self.mask].sum()
-
-
-def build_test_statistic(phi):
-    return TestStatistic(phi)
 
 
 @dataclass

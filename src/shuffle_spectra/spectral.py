@@ -90,11 +90,21 @@ class CertifiedBound:
         raise ValueError(f"unknown bound kind {self.kind!r}")
 
 
-def _power(matvec, start, tol, maxiter, streak_needed=5):
+_PROBE_EVERY = 50  # a quasi-periodic Rayleigh sequence never builds a streak
+# Deflating with any pi (pi @ ones != 0) keeps B's other eigenvalues, but the
+# deflated eigenvector is B's own only for the exact stationary pi.
+_STATIONARY_TOL = 1e-15
+_STATIONARY_CAP = 5000
+
+
+def _power(matvec, start, tol, maxiter, stall=None, streak_needed=5):
     """Power iteration with a convergence streak on the Rayleigh quotient.
 
-    Returns (rho, v, iterations, converged, history).  Stops early with
-    value 0 if the operator annihilates the iterate.
+    Returns (rho, v, iterations, converged, history, stop).  Stops early
+    with value 0 if the operator annihilates the iterate.  ``stall(v, rho,
+    settled)``, if given, is asked when a streak completes (settled=True)
+    and every _PROBE_EVERY steps: a result other than None ends the run and
+    comes back as ``stop``; a settled streak it declines starts over.
     """
     v = np.asarray(start, dtype=float)
     nv = np.linalg.norm(v)
@@ -109,18 +119,26 @@ def _power(matvec, start, tol, maxiter, streak_needed=5):
         w = matvec(v)
         nw = np.linalg.norm(w)
         if nw < 1e-300:
-            return 0.0, v, it, True, history
+            return 0.0, v, it, True, history, None
         rho = float(v @ w)
         history.append(rho)
         v = w / nw
+        settled = False
         if abs(rho - rho_prev) < tol * max(1.0, abs(rho)):
             streak += 1
-            if streak >= streak_needed:
-                return rho, v, it, True, history
+            settled = streak >= streak_needed
+            if settled and stall is None:
+                return rho, v, it, True, history, None
         else:
             streak = 0
+        if stall is not None and (settled or it % _PROBE_EVERY == 0):
+            stop = stall(v, rho, settled)
+            if stop is not None:
+                return rho, v, it, True, history, stop
+            if settled:
+                streak = 0
         rho_prev = rho
-    return rho_prev, v, it, False, history
+    return rho_prev, v, it, False, history, None
 
 
 def second_eig_sym(apply, n, tol=1e-10, maxiter=100000, seed=0):
@@ -135,7 +153,7 @@ def second_eig_sym(apply, n, tol=1e-10, maxiter=100000, seed=0):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    l1, v1, it1, conv1, _ = _power(apply, np.ones(n), tol, maxiter)
+    l1, v1, it1, conv1, *_ = _power(apply, np.ones(n), tol, maxiter)
 
     def deflated(y):
         w = apply(y) - l1 * (v1 @ y) * v1
@@ -146,7 +164,7 @@ def second_eig_sym(apply, n, tol=1e-10, maxiter=100000, seed=0):
     start -= (v1 @ start) * v1
     if np.linalg.norm(start) == 0.0:
         start = rng.standard_normal(n)
-    l2, v2, it2, conv2, hist = _power(deflated, start, tol, maxiter)
+    l2, v2, it2, conv2, hist, _ = _power(deflated, start, tol, maxiter)
     res = float(np.linalg.norm(apply(v2) - l2 * v2))
     return EigenEstimate(
         value=complex(l2),
@@ -174,7 +192,7 @@ def skew_norm(apply, n, tol=1e-10, maxiter=100000, seed=0):
         return -apply(apply(y))
 
     rng = np.random.default_rng(seed)
-    rho, v, it, conv, hist = _power(m, rng.standard_normal(n), tol, maxiter)
+    rho, v, it, conv, hist, _ = _power(m, rng.standard_normal(n), tol, maxiter)
     sigma = float(np.sqrt(max(rho, 0.0)))
     if sigma < 1e-150:
         res = float(np.linalg.norm(apply(v)))
@@ -198,19 +216,34 @@ def skew_norm(apply, n, tol=1e-10, maxiter=100000, seed=0):
     )
 
 
-def _two_step_pair(x, y, z):
-    """Eigenvalues of the degree-2 Krylov companion fit z = a y + b x."""
+def _complex_pair(apply, x):
+    """The dominant pair of ``apply`` if the iterate x rotates in a plane.
+
+    Fits the degree-2 Krylov relation z = a y + b x with y = apply(x) and
+    z = apply(y).  When the fit is exact and its companion roots
+    (a +- sqrt(a^2 + 4b))/2 are complex, returns (lambda, residual of the
+    two-step relation); otherwise None.
+    """
+    y = apply(x)
+    z = apply(y)
+    ny = np.linalg.norm(y)
+    if ny < 1e-300:
+        return None
+    # skip when the iterate has already collapsed to a ray (fit is
+    # collinear and its roots meaningless)
+    if np.linalg.norm(y / ny - x * np.sign(x @ y)) < 1e-3:
+        return None
     basis = np.stack([y, x], axis=1)
     coef, *_ = np.linalg.lstsq(basis, z, rcond=None)
+    fit_res = np.linalg.norm(z - basis @ coef) / max(np.linalg.norm(z), 1e-300)
     a, b = coef
     disc = a * a + 4.0 * b
-    if disc >= 0:
-        r = np.sqrt(disc)
-        roots = ((a + r) / 2.0, (a - r) / 2.0)
-    else:
-        r = np.sqrt(-disc)
-        roots = ((a + 1j * r) / 2.0, (a - 1j * r) / 2.0)
-    return max(roots, key=abs)
+    if fit_res > 1e-8 or disc >= 0:
+        return None
+    lam = (a + 1j * np.sqrt(-disc)) / 2.0
+    if abs(lam.imag) <= 1e-8 * abs(lam):
+        return None
+    return lam, float(np.linalg.norm(z - 2 * lam.real * y + (abs(lam) ** 2) * x))
 
 
 def second_eig_b(apply, n, tol=1e-10, maxiter=100000, apply_t=None, seed=0):
@@ -222,102 +255,46 @@ def second_eig_b(apply, n, tol=1e-10, maxiter=100000, apply_t=None, seed=0):
     B is not normal, so the returned residual carries no certificate.  If
     the Rayleigh sequence settles into a period-2 oscillation (complex
     dominant pair), the estimate from a two-step companion fit is
-    returned flagged as not converged.
+    returned flagged as not converged.  Iterations count both power
+    iterations; a stationary solve that reaches its cap leaves the
+    estimate flagged as not converged, with a note.
     """
     if n < 2:
         raise ValueError("second_eig_b needs n >= 2")
     ones = np.ones(n)
-    if apply_t is None:
-        pi = ones / n
-    else:
-        pi = ones / n
-        for _ in range(5000):
-            nxt = apply_t(pi)
-            nxt = nxt / nxt.sum()
-            if np.abs(nxt - pi).max() < 1e-15:
-                pi = nxt
-                break
-            pi = nxt
+    pi, it_pi, conv_pi = ones / n, 0, True
+    if apply_t is not None:
+        _, pi, it_pi, conv_pi, *_ = _power(apply_t, pi, _STATIONARY_TOL,
+                                           _STATIONARY_CAP)
+        pi = pi / pi.sum()
     c = pi @ ones
 
     def deflated(y):
         return apply(y) - ones * ((pi @ y) / c)
 
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    rho_prev = np.inf
-    streak = 0
-    history = []
+    def stall(v, rho, settled):
+        if settled:
+            res = float(np.linalg.norm(deflated(v) - rho * v))
+            if res <= 1e-6 * max(1.0, abs(rho)):
+                return complex(rho), res, ""
+        # value stagnant but vector still moving, or no streak at all:
+        # a rotating (complex) dominant pair?
+        hit = _complex_pair(deflated, v)
+        if hit is not None:
+            return (*hit, "complex dominant pair (two-step companion estimate)")
+        return None
 
-    def probe_complex(x):
-        """Two-step companion fit; complex roots mean a rotating iterate."""
-        y = deflated(x)
-        z = deflated(y)
-        ny = np.linalg.norm(y)
-        if ny < 1e-300:
-            return None
-        # skip when the iterate has already collapsed to a ray (fit is
-        # collinear and its roots meaningless)
-        if np.linalg.norm(y / ny - x * np.sign(x @ y)) < 1e-3:
-            return None
-        basis = np.stack([y, x], axis=1)
-        coef, *_ = np.linalg.lstsq(basis, z, rcond=None)
-        fit_res = np.linalg.norm(z - basis @ coef) / max(np.linalg.norm(z), 1e-300)
-        if fit_res > 1e-8:
-            return None
-        lam = _two_step_pair(x, y, z)
-        if abs(lam.imag) <= 1e-8 * abs(lam):
-            return None
-        res = float(
-            np.linalg.norm(z - 2 * lam.real * y + (abs(lam) ** 2) * x)
-        )
-        return lam, res
-
-    for it in range(1, maxiter + 1):
-        w = deflated(v)
-        nw = np.linalg.norm(w)
-        if nw < 1e-300:
-            return EigenEstimate(0j, v, 0.0, "B", n, it, True, rayleigh_history=history)
-        rho = float(v @ w)
-        history.append(rho)
-        x = v
-        v = w / nw
-        if abs(rho - rho_prev) < tol * max(1.0, abs(rho)):
-            streak += 1
-            if streak >= 5:
-                res = float(np.linalg.norm(deflated(v) - rho * v))
-                if res <= 1e-6 * max(1.0, abs(rho)):
-                    return EigenEstimate(
-                        complex(rho), v, res, "B", n, it, True,
-                        rayleigh_history=history,
-                    )
-                # value stagnant but vector still moving: rotating pair?
-                hit = probe_complex(v)
-                if hit is not None:
-                    lam, cres = hit
-                    return EigenEstimate(
-                        lam, v, cres, "B", n, it, False,
-                        note="complex dominant pair (two-step companion estimate)",
-                        rayleigh_history=history,
-                    )
-                streak = 0
-        else:
-            streak = 0
-        if it % 50 == 0:  # quasi-periodic Rayleigh never builds a streak
-            hit = probe_complex(v)
-            if hit is not None:
-                lam, cres = hit
-                return EigenEstimate(
-                    lam, v, cres, "B", n, it, False,
-                    note="complex dominant pair (two-step companion estimate)",
-                    rayleigh_history=history,
-                )
-        rho_prev = rho
-    res = float(np.linalg.norm(deflated(v) - rho_prev * v))
-    return EigenEstimate(
-        complex(rho_prev), v, res, "B", n, maxiter, False,
-        note="maxiter exceeded", rayleigh_history=history,
+    start = np.random.default_rng(seed).standard_normal(n)
+    rho, v, it, conv, history, stop = _power(deflated, start, tol, maxiter, stall)
+    if stop is None:  # annihilated the iterate, or reached maxiter
+        res = float(np.linalg.norm(deflated(v) - rho * v))
+        stop = (complex(rho), res, "" if conv else "maxiter exceeded")
+    value, res, note = stop
+    if not conv_pi:
+        note = "; ".join(filter(None, (note, "stationary vector: iteration cap reached")))
+    return EigenEstimate(  # every note flags an estimate that did not converge
+        value, v, res, "B", n, it_pi + it, not note, note=note,
+        rayleigh_history=history,
     )
 
 

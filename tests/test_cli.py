@@ -123,6 +123,32 @@ class TestEigenCmd:
     def test_bad_operator(self, tmp_path):
         assert run_cli(["eigen", "--n", "10", "--operator", "Q"]) == 2
 
+    @pytest.mark.parametrize("flag", [["--maxiter", "0"], ["--tol", "0"],
+                                      ["--tol", "-0.5"], ["--tol", "nan"]])
+    def test_solver_limits_checked_before_building(self, monkeypatch, flag):
+        def build(*args, **kwargs):
+            raise AssertionError("built the kernel before validating")
+
+        monkeypatch.setattr(cli, "build_kernel", build)
+        assert run_cli(["eigen", "--n", "50", "--operator", "S", *flag]) == 2
+
+    @pytest.mark.parametrize("op, solver", [("S", "second_eig_sym"), ("D", "skew_norm"),
+                                            ("B", "second_eig_b")])
+    def test_seed_reaches_the_solver(self, tmp_path, monkeypatch, op, solver):
+        seeds = []
+        real = getattr(cli, solver)
+
+        def recording(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, solver, recording)
+        out = tmp_path / "e.json"
+        assert run_cli(["eigen", "--n", "30", "--operator", op, "--seed", "7",
+                        "--out", str(out)]) == 0
+        assert seeds == [7]
+        assert json.loads(out.read_text())["config"]["seed"] == 7
+
 
 class TestSimulateCmd:
     def test_rounds_zero_single_row(self, tmp_path):
@@ -180,6 +206,10 @@ class TestSimulateCmd:
         assert run_cli(["simulate", "--kind", "top", "--n", "2000",
                         "--stat", "S"]) == 2
 
+    def test_stat_s_needs_two_cards(self):
+        assert run_cli(["simulate", "--n", "1", "--stat", "S", "--rounds", "1",
+                        "--reps", "2"]) == 2
+
     def test_unknown_kind(self):
         assert run_cli(["simulate", "--kind", "riffle", "--n", "10"]) == 2
 
@@ -223,6 +253,10 @@ class TestSingleCardCmd:
         assert run_cli(["singlecard", "--n", "100", "--a", "0.5005",
                         "--reps", "10"]) == 2
 
+    @pytest.mark.parametrize("a", ["2", "0", "-0.5"])
+    def test_a_outside_unit_interval_rejected(self, a):
+        assert run_cli(["singlecard", "--n", "10", "--a", a, "--reps", "5"]) == 2
+
 
 class TestHelp:
     @pytest.mark.parametrize("sub", ["gcurve", "kernel", "eigen", "simulate",
@@ -233,3 +267,8 @@ class TestHelp:
 
     def test_no_args_usage_error(self):
         assert run_cli([]) == 2
+
+    @pytest.mark.parametrize("args", [["kernel", "--n", "5"],
+                                      ["gcurve", "--b", "0.5"]])
+    def test_seed_only_where_it_is_used(self, args):
+        assert run_cli([*args, "--seed", "1"]) == 2

@@ -8,33 +8,32 @@ from shuffle_spectra import (
     FastDeck,
     RngStream,
     positions_vector,
-    remove_insert,
 )
 
 
 class TestRemoveInsert:
     def test_reinsert_at_own_position_is_identity(self):
         d = Deck([1, 2, 3])
-        remove_insert(d, 1, 1)
+        d.remove_insert(1, 1)
         assert d.order == [1, 2, 3]
 
     def test_top_to_bottom(self):
         d = Deck([1, 2, 3])
-        remove_insert(d, 1, 3)
+        d.remove_insert(1, 3)
         assert d.order == [2, 3, 1]
 
     def test_hand_traced_case(self):
         # [3,1,2]: card 2 sits at position 3; removing it gives [3,1] and
         # inserting at final position 1 gives [2,3,1]
         d = Deck([3, 1, 2])
-        remove_insert(d, 2, 1)
+        d.remove_insert(2, 1)
         assert d.order == [2, 3, 1]
 
     def test_identity_for_any_card(self):
         for card in (1, 2, 3, 4):
             d = Deck([4, 3, 2, 1])
             p = d.position_of(card)
-            remove_insert(d, card, p)
+            d.remove_insert(card, p)
             assert d.order == [4, 3, 2, 1]
 
     def test_card_absent(self):

@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from shuffle_spectra import (
+    MatrixFreeKernel,
     NumericError,
-    apply_b,
-    apply_bt,
-    apply_skew,
     apply_sym,
     build_kernel,
     g,
@@ -299,24 +297,47 @@ class TestMatrixFreeApplies:
         dense = 0.5 * (k.probs - k.probs.T)
         rng = np.random.default_rng(5)
         v = rng.standard_normal(n)
-        np.testing.assert_allclose(apply_skew(n, v), dense @ v, atol=1e-9, rtol=0)
+        np.testing.assert_allclose(MatrixFreeKernel(n).skew_matvec(v), dense @ v,
+                                   atol=1e-9, rtol=0)
 
     def test_b_and_bt_match_dense(self, kernel100):
         n = 100
+        op = MatrixFreeKernel(n)
         rng = np.random.default_rng(6)
         v = rng.standard_normal(n)
-        np.testing.assert_allclose(apply_b(n, v), kernel100.probs @ v, atol=1e-9, rtol=0)
-        np.testing.assert_allclose(apply_bt(n, v), kernel100.probs.T @ v, atol=1e-9, rtol=0)
+        np.testing.assert_allclose(op.matvec(v), kernel100.probs @ v, atol=1e-9, rtol=0)
+        np.testing.assert_allclose(op.rmatvec(v), kernel100.probs.T @ v, atol=1e-9, rtol=0)
 
     @pytest.mark.parametrize("n", [1, 2, 300])
     def test_complex_input_matches_dense(self, n):
-        k = build_kernel(n)
+        k, op = build_kernel(n), MatrixFreeKernel(n)
         rng = np.random.default_rng(10)
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         p = k.probs
-        for apply, dense in ((apply_b, p), (apply_bt, p.T),
-                             (apply_sym, 0.5 * (p + p.T)), (apply_skew, 0.5 * (p - p.T))):
-            np.testing.assert_allclose(apply(n, v), dense @ v, atol=1e-14, rtol=0)
+        for name, dense in (("matvec", p), ("rmatvec", p.T),
+                            ("sym_matvec", 0.5 * (p + p.T)),
+                            ("skew_matvec", 0.5 * (p - p.T))):
+            for kernel in (op, k):
+                np.testing.assert_allclose(getattr(kernel, name)(v), dense @ v,
+                                           atol=1e-14, rtol=0)
+
+    def test_operator_solves_the_root_once(self, monkeypatch):
+        calls = []
+        root = ideal._landing_root
+
+        def counted(z):
+            calls.append(len(z))
+            return root(z)
+
+        monkeypatch.setattr(ideal, "_landing_root", counted)
+        n = 64
+        op = MatrixFreeKernel(n)
+        v = np.random.default_rng(12).standard_normal(n)
+        for _ in range(3):
+            for apply in (op.matvec, op.rmatvec, op.sym_matvec, op.skew_matvec):
+                apply(v)
+                apply(v + 1j * v)
+        assert calls == [n + 1]
 
     def test_kernel_complex_apply_keeps_the_kernel_real(self):
         # a complex vector must not cast the n x n kernel to complex128
@@ -338,23 +359,29 @@ class TestMatrixFreeApplies:
         ones = np.ones(n)
         out = apply_sym(n, ones)
         assert np.abs(out - 1.0).max() <= 30.0 / n
-        skew = apply_skew(n, ones)
+        skew = MatrixFreeKernel(n).skew_matvec(ones)
         assert np.abs(skew).max() <= 30.0 / n
 
     def test_zero_vector(self):
-        assert np.all(apply_sym(64, np.zeros(64)) == 0)
-        assert np.all(apply_skew(64, np.zeros(64)) == 0)
+        op = MatrixFreeKernel(64)
+        assert np.all(op.sym_matvec(np.zeros(64)) == 0)
+        assert np.all(op.skew_matvec(np.zeros(64)) == 0)
 
     def test_skew_orthogonality(self):
         n = 128
+        op = MatrixFreeKernel(n)
         rng = np.random.default_rng(7)
         for _ in range(5):
             v = rng.standard_normal(n)
-            assert abs(v @ apply_skew(n, v)) <= 1e-9 * (v @ v)
+            assert abs(v @ op.skew_matvec(v)) <= 1e-9 * (v @ v)
 
     def test_shape_error(self):
         with pytest.raises(ValueError):
             apply_sym(10, np.zeros(9))
+        with pytest.raises(ValueError):
+            MatrixFreeKernel(10).rmatvec(np.zeros(11))
+        with pytest.raises(ValueError):
+            MatrixFreeKernel(0)
 
 
 class TestYChain:

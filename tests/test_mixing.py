@@ -8,7 +8,6 @@ from shuffle_spectra import (
     CapabilityError,
     PermDistribution,
     build_kernel,
-    build_test_statistic,
     check_conditional_bands,
     empirical_single_card,
     exact_round_push,
@@ -19,6 +18,7 @@ from shuffle_spectra import (
     tv_to_uniform,
     uniform_positions,
 )
+from shuffle_spectra import mixing
 from shuffle_spectra.mixing import all_perms, perm_rank, rank_rows
 
 import brute
@@ -205,6 +205,10 @@ class TestEmpiricalSingleCard:
         with pytest.raises(ValueError):
             empirical_single_card(100, 0.5005, 10)
 
+    def test_depth_beyond_the_deck_rejected(self):
+        with pytest.raises(ValueError):
+            empirical_single_card(10, 2.0, 5)
+
     def test_counts_and_histogram_consistent(self):
         stats = empirical_single_card(50, 0.5, 2000, seed=1)
         assert stats.counts.sum() == 2000
@@ -214,7 +218,7 @@ class TestEmpiricalSingleCard:
 class TestStatisticAndExperiment:
     def test_constant_phi_is_order_blind(self):
         n = 16
-        stat = build_test_statistic(np.full(n, 1.0))
+        stat = mixing.TestStatistic(np.full(n, 1.0))
         pos = uniform_positions(n, 40, seed=2)
         vals = stat.from_positions(pos)
         # a constant positive profile sums itself regardless of the deck
@@ -223,7 +227,7 @@ class TestStatisticAndExperiment:
 
     def test_s0_on_sorted_deck(self):
         phi = np.array([0.5, -0.5, 0.5, -0.5])
-        stat = build_test_statistic(phi)
+        stat = mixing.TestStatistic(phi)
         assert stat.s0() == pytest.approx(stat.phi[stat.mask].sum())
         assert stat.from_positions(np.arange(1, 5)) == pytest.approx(stat.s0())
 
@@ -231,7 +235,7 @@ class TestStatisticAndExperiment:
         n = 200
         k = build_kernel(n)
         est = second_eig_b(k.matvec, n, apply_t=k.rmatvec)
-        stat = build_test_statistic(np.real(est.vector))
+        stat = mixing.TestStatistic(np.real(est.vector))
         pos = uniform_positions(n, 10_000, seed=9)
         vals = stat.from_positions(pos)
         se = vals.std(ddof=1) / np.sqrt(len(vals))
@@ -245,7 +249,7 @@ class TestStatisticAndExperiment:
             n, 0, 50, np.real(est.vector), abs(est.value), seed=5
         )
         assert traj.var_s[0] == 0.0
-        stat = build_test_statistic(np.real(est.vector))
+        stat = mixing.TestStatistic(np.real(est.vector))
         assert traj.mean_abs[0] == pytest.approx(abs(stat.s0()), rel=1e-12)
 
     def test_decay_tracks_lambda_at_small_scale(self):
@@ -289,7 +293,7 @@ class TestStatisticAndExperiment:
         for n in (300, 600, 1200):
             k = build_kernel(n)
             est = second_eig_b(k.matvec, n, apply_t=k.rmatvec)
-            stat = build_test_statistic(np.real(est.vector))
+            stat = mixing.TestStatistic(np.real(est.vector))
             cs[n] = abs(stat.s0()) / n ** (4 / 9)
         vals = np.array(list(cs.values()))
         assert np.all(vals > 0.2) and np.all(vals < 1.5)

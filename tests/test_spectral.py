@@ -129,6 +129,16 @@ class TestSecondEigB:
         assert abs(est.value.imag) > 0.1
 
 
+    def test_stationary_cap_flagged(self):
+        # a period-2 chain: the transpose power iteration from uniform
+        # oscillates between (1/3, 1/3, 1/3) and (2/3, 1/6, 1/6) forever
+        m = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        est = second_eig_b(m.__matmul__, 3, apply_t=lambda v: m.T @ v)
+        assert not est.converged
+        assert "stationary" in est.note
+        assert est.value.real == pytest.approx(-1.0, abs=1e-8)
+
+
 class TestResidual:
     def test_exact_eigenpair(self):
         m = np.diag([3.0, 1.0, 0.5])
