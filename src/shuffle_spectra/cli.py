@@ -322,7 +322,7 @@ def build_parser():
     p.add_argument("--samples", type=int, default=101)
     p.add_argument("--svg", default=None, help="also write an SVG polyline plot")
     common(p, seed=None)
-    p.set_defaults(func=cmd_gcurve)
+    p.set_defaults(func=cmd_gcurve, parser=p)
 
     p = sub.add_parser("kernel", help="build and export the single-card "
                                       "round kernel B(n)")
@@ -330,7 +330,7 @@ def build_parser():
     p.add_argument("--row-rule", choices=["endpoint", "cell-average"],
                    default="endpoint", dest="row_rule")
     common(p, formats=("csv", "bin"), seed=None)
-    p.set_defaults(func=cmd_kernel)
+    p.set_defaults(func=cmd_kernel, parser=p)
 
     p = sub.add_parser("eigen", help="second eigenvalue of S or B, or the "
                                      "skew-part operator norm, with residual")
@@ -341,7 +341,7 @@ def build_parser():
     p.add_argument("--vector-out", default=None, dest="vector_out",
                    help="also write the eigenvector as CSV")
     common(p, seed="seed of the solver's random start vector (default %(default)s)")
-    p.set_defaults(func=cmd_eigen)
+    p.set_defaults(func=cmd_eigen, parser=p)
 
     p = sub.add_parser("simulate", help="Monte Carlo rounds: eigenvector "
                                         "statistic decay or card-1 depth")
@@ -352,7 +352,7 @@ def build_parser():
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--stat", choices=["S", "positions"], default="positions")
     common(p)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, parser=p)
 
     p = sub.add_parser("exact", help="exact total-variation mixing table "
                                      "at tiny n (enumeration)")
@@ -361,7 +361,7 @@ def build_parser():
     p.add_argument("--rounds", type=int, default=6)
     common(p, seed="accepted so every run takes --seed; exact tables draw "
                    "no random numbers")
-    p.set_defaults(func=cmd_exact)
+    p.set_defaults(func=cmd_exact, parser=p)
 
     p = sub.add_parser("singlecard", help="empirical conditional law of a "
                                           "tracked card's landing position")
@@ -370,16 +370,15 @@ def build_parser():
                    help="tracked card's start depth (grid point i/n)")
     p.add_argument("--reps", type=int, default=10000)
     common(p)
-    p.set_defaults(func=cmd_singlecard)
+    p.set_defaults(func=cmd_singlecard, parser=p)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1

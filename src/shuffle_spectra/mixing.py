@@ -1,17 +1,20 @@
 """Ground-truth mixing computations and the lower-bound experiment.
 
-Exact machinery (tiny n).  One round of the position-driven shuffles
-(CCRR, top-to-random, cyclic-to-random, random transpositions) moves the
-card in start-of-round position k to a position F(k) where the random
-position map F has a law that does not depend on the deck's content.  A
-round therefore acts on deck orders by o -> o o F^{-1}, and the exact
-one-round pushforward of a distribution q on S_n is the convolution
-q'(o') = sum_F P(F) q(o' o F).  The F-law is enumerated exactly (all n^n
-slot vectors for CCRR, per-step convolution for the baselines), with
-rational arithmetic at n <= 5 and double precision at n in {6, 7}.  CCR
-rounds after the first are not position-driven (the schedule depends on
-where the labels sit), so CCR pushes are enumerated literally per support
-state and capped at n <= 5.
+Exact machinery (tiny n).  Distributions live on S_n as dense vectors
+indexed by the lexicographic rank of the deck order.  Every shuffle's
+round is n steps, and each step is a fixed set of equally likely moves on
+the current order: remove card k (CCR) or the top card and reinsert it at
+a uniform slot, swap position k with a uniform position (cyclic-to-random),
+or swap a uniform pair of positions (random transpositions).  One step
+engine tabulates, per step, the order rank every move reaches and pushes a
+distribution through the round by scatter-adds: rational arithmetic at
+n <= 5, double precision at n in {6, 7}.  A CCRR round processes cards in
+the order they hold when it starts, so it is position-driven: the card in
+start-of-round position k lands in position F(k) for a random map F whose
+law does not depend on the deck.  That law is one round of steps from the
+sorted deck (where CCRR's round is CCR's), inverted, and a CCRR push is
+the convolution q'(o') = sum_F P(F) q(o' o F).  The exact layer shares no
+code with the Monte Carlo kernel, so each checks the other.
 
 Monte Carlo machinery (large n).  Replicated CCRR rounds from the sorted
 deck give the empirical single-card law conditioned on the card's own
@@ -160,61 +163,70 @@ def tv_to_uniform(dist):
 
 
 # --------------------------------------------------------------------------
-# exact one-round position-map laws
+# exact rounds: one step engine
 # --------------------------------------------------------------------------
 
+_TARGETS_CACHE: dict = {}
 _LAW_CACHE: dict = {}
 _GATHER_CACHE: dict = {}
 
 
-def _slot_chunks(n, chunk=200_000):
-    """All n^n slot vectors (entries 1..n), yielded in chunks."""
-    total = n**n
-    powers = n ** np.arange(n, dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        yield (idx[:, None] // powers[None, :]) % n + 1
+def _step_targets(n, kind, k):
+    """Rank reached by each equally likely move of step k, per order rank.
+
+    Entry (r, c) is the rank of the order that move c makes from the order
+    of rank r.  The moves: remove card k (CCR; CCRR from the sorted deck)
+    or the top card and reinsert it at slot 1..n; swap position k with
+    position 1..n (cyclic); swap positions i and j over all n^2 pairs
+    (transpositions).
+    """
+    if kind is ShuffleKind.CCRR:
+        kind = ShuffleKind.CCR
+    if kind in (ShuffleKind.TOP_TO_RANDOM, ShuffleKind.RANDOM_TRANSPOSITIONS):
+        k = 0  # the same moves at every step
+    key = (n, kind, k)
+    if key not in _TARGETS_CACHE:
+        perms = all_perms(n)
+        q = np.arange(n)
+        # src[..., c, q]: the position whose card move c puts in position q
+        if kind in (ShuffleKind.CYCLIC_TO_RANDOM, ShuffleKind.RANDOM_TRANSPOSITIONS):
+            if kind is ShuffleKind.CYCLIC_TO_RANDOM:
+                a, b = np.full(n, k - 1), np.arange(n)
+            else:
+                a, b = np.divmod(np.arange(n * n), n)
+            a, b = a[:, None], b[:, None]
+            src = np.where(q == a, b, np.where(q == b, a, q))[None]
+        else:
+            # the card in position p moves to position t; the rest close up
+            p, t = q[:, None, None], q[None, :, None]
+            r = q - (q > t)
+            src = np.where(q == t, p, r + (r >= p))
+            if kind is ShuffleKind.CCR:
+                src = src[(perms == k - 1).argmax(axis=1)]  # card k's position
+            else:
+                src = src[:1]  # the top card
+        moved = perms[np.arange(perms.shape[0])[:, None, None], src]
+        _TARGETS_CACHE[key] = rank_rows(moved.reshape(-1, n)).reshape(perms.shape[0], -1)
+    return _TARGETS_CACHE[key]
 
 
-def _ccrr_law_counts(n):
-    """Counts of each position map over all n^n CCRR slot vectors."""
-    counts = np.zeros(math.factorial(n), dtype=np.int64)
-    for slots in _slot_chunks(n):
-        fp = batch_round_positions(slots)
-        counts += np.bincount(rank_rows(fp - 1), minlength=counts.size)
-    return counts
+def _step_round(probs, n, kind):
+    """Push order probabilities through one round of n steps.
 
-
-def _step_maps(n, kind):
-    """(map, weight) pairs for one step of a state-independent shuffle."""
-    ident = tuple(range(n))
-    if kind is ShuffleKind.TOP_TO_RANDOM:
-        maps = []
-        for u in range(1, n + 1):
-            f = [0] * n
-            f[0] = u - 1
-            for p in range(1, n):
-                f[p] = p - 1 if p <= u - 1 else p
-            maps.append((tuple(f), Fraction(1, n)))
-        return maps
-    if kind is ShuffleKind.CYCLIC_TO_RANDOM:
-        # this "step law" depends on the step index; handled by caller
-        raise AssertionError("cyclic steps are built per step index")
-    if kind is ShuffleKind.RANDOM_TRANSPOSITIONS:
-        weights: dict = {ident: Fraction(n, n * n)}
-        for i in range(n):
-            for j in range(i + 1, n):
-                f = list(ident)
-                f[i], f[j] = f[j], f[i]
-                weights[tuple(f)] = weights.get(tuple(f), Fraction(0)) + Fraction(2, n * n)
-        return list(weights.items())
-    raise AssertionError(kind)
-
-
-def _swap_map(n, i, j):
-    f = list(range(n))
-    f[i], f[j] = f[j], f[i]
-    return tuple(f)
+    Each step spreads every order's mass evenly over its moves' targets:
+    np.add.at for Fractions, np.bincount for float64.
+    """
+    for k in range(1, n + 1):
+        targets = _step_targets(n, kind, k)
+        m = targets.shape[1]
+        if probs.dtype == object:
+            out = np.full(probs.size, Fraction(0), dtype=object)
+            np.add.at(out, targets.ravel(), np.repeat(probs / m, m))
+        else:
+            out = np.bincount(targets.ravel(), weights=np.repeat(probs, m),
+                              minlength=probs.size) / m
+        probs = out
+    return probs
 
 
 def _compose_gather(n, f):
@@ -228,111 +240,55 @@ def _compose_gather(n, f):
     return _GATHER_CACHE[key]
 
 
-def _convolve_step(law, n, step_maps):
-    """One step s applied after the accumulated map: law of s o G."""
-    out = np.array([Fraction(0)] * law.size, dtype=object)
-    perms = all_perms(n)
-    for f, w in step_maps:
-        # rank of f o g for every g: (f o g)(x) = f[g[x]]
-        ranks = rank_rows(np.asarray(f, dtype=np.int8)[perms])
-        for src, dst in enumerate(ranks):
-            if law[src]:
-                out[dst] += w * law[src]
-    return out
-
-
 def round_position_law(n, kind):
     """Exact law of the one-round position map F, as a PermDistribution.
 
-    Supported for the position-driven kinds (everything except CCR beyond
-    round 1; CCR is deliberately absent -- from a sorted deck its first
-    round coincides with CCRR).  Rational at n <= 5, float64 at 6 and 7.
+    One round of steps from the sorted deck: the card that starts in
+    position k ends in position F(k), so F is the inverse of the order
+    reached.  CCR is deliberately absent (its later rounds are not
+    position-driven; from a sorted deck its first round coincides with
+    CCRR).  Rational at n <= 5, float64 at 6 and 7.
     """
     kind = ShuffleKind(kind)
     if n > ENUM_N_MAX:
         raise CapabilityError(f"exact round laws capped at n <= {ENUM_N_MAX}")
-    key = (n, kind)
-    if key in _LAW_CACHE:
-        return _LAW_CACHE[key]
-    size = math.factorial(n)
-    if kind in (ShuffleKind.CCRR, ShuffleKind.CCR):
-        if kind is ShuffleKind.CCR:
-            raise CapabilityError(
-                "CCR rounds after the first are not position-driven; "
-                "use exact_round_push, or CCRR for round 1"
-            )
-        counts = _ccrr_law_counts(n)
-        if n <= EXACT_N_MAX:
-            denom = n**n
-            probs = np.array([Fraction(int(c), denom) for c in counts], dtype=object)
-            law = PermDistribution(n=n, probs=probs, exact=True)
-        else:
-            law = PermDistribution(n=n, probs=counts / float(n**n), exact=False)
-    else:
-        probs = np.array([Fraction(0)] * size, dtype=object)
-        probs[0] = Fraction(1)  # identity map
-        for k in range(1, n + 1):
-            if kind is ShuffleKind.CYCLIC_TO_RANDOM:
-                steps = [(_swap_map(n, k - 1, j), Fraction(1, n)) for j in range(n)]
-            else:
-                steps = _step_maps(n, kind)
-            probs = _convolve_step(probs, n, steps)
-        if n <= EXACT_N_MAX:
-            law = PermDistribution(n=n, probs=probs, exact=True)
-        else:
-            law = PermDistribution(
-                n=n, probs=np.array([float(p) for p in probs]), exact=False
-            )
-    _LAW_CACHE[key] = law
-    return law
-
-
-def _literal_round(order, slots, kind, n):
-    """Replay one round literally on a list (independent of Deck)."""
-    order = list(order)
     if kind is ShuffleKind.CCR:
-        schedule = list(range(1, n + 1))
-        for step, card in enumerate(schedule):
-            order.remove(card)
-            order.insert(slots[step] - 1, card)
-    else:
-        raise AssertionError(kind)
-    return order
+        raise CapabilityError(
+            "CCR rounds after the first are not position-driven; "
+            "use exact_round_push, or CCRR for round 1"
+        )
+    key = (n, kind)
+    if key not in _LAW_CACHE:
+        start = PermDistribution.point_mass(n)
+        orders = _step_round(start.probs, n, kind)
+        inverse = rank_rows(np.argsort(all_perms(n), axis=1))
+        _LAW_CACHE[key] = PermDistribution(n=n, probs=orders[inverse], exact=start.exact)
+    return _LAW_CACHE[key]
 
 
 def exact_round_push(dist, kind):
     """Exact one-round pushforward of a distribution on S_n.
 
-    Position-driven kinds use the cached F-law convolution; CCR (whose
-    schedule depends on the state) enumerates all n^n slot vectors per
-    support permutation and is capped at n <= 5.
+    CCR, top-to-random, cyclic-to-random and random transpositions step the
+    distribution move by move (CCR is capped at n <= 5).  A CCRR round's
+    schedule is the order at its start, so CCRR convolves with the cached
+    position-map law instead: q'(o') = sum_F P(F) q(o' o F).
     """
     kind = ShuffleKind(kind)
     n = dist.n
     if n > ENUM_N_MAX:
         raise CapabilityError(f"exact pushforward capped at n <= {ENUM_N_MAX}")
-    perms = all_perms(n)
-    size = math.factorial(n)
-
-    if kind is ShuffleKind.CCR:
-        if n > EXACT_N_MAX:
-            raise CapabilityError(f"CCR exact pushforward capped at n <= {EXACT_N_MAX}")
-        zero = Fraction(0) if dist.exact else 0.0
-        out = np.array([zero] * size, dtype=object) if dist.exact else np.zeros(size)
-        denom = Fraction(1, n**n) if dist.exact else 1.0 / n**n
-        for idx in range(size):
-            p = dist.probs[idx]
-            if not p:
-                continue
-            order = [c + 1 for c in perms[idx]]
-            for slots in itertools.product(range(1, n + 1), repeat=n):
-                new = _literal_round(order, slots, kind, n)
-                out[perm_rank([c - 1 for c in new])] += p * denom
-        return PermDistribution(n=n, probs=out, exact=dist.exact)
+    if kind is ShuffleKind.CCR and n > EXACT_N_MAX:
+        raise CapabilityError(f"CCR exact pushforward capped at n <= {EXACT_N_MAX}")
+    if kind is not ShuffleKind.CCRR:
+        return PermDistribution(n=n, probs=_step_round(dist.probs, n, kind),
+                                exact=dist.exact)
 
     law = round_position_law(n, kind)
     if dist.exact and not law.exact:
         raise CapabilityError("exact distribution with inexact law; lower n")
+    perms = all_perms(n)
+    size = math.factorial(n)
     if dist.exact:
         out = np.array([Fraction(0)] * size, dtype=object)
     else:
@@ -360,20 +316,9 @@ def exact_single_card_kernel(n, kind):
         kind = ShuffleKind.CCRR
     law = round_position_law(n, kind)
     perms = all_perms(n)
-    if law.exact:
-        kernel = np.array([[Fraction(0)] * n for _ in range(n)], dtype=object)
-        for idx, p in enumerate(law.probs):
-            if not p:
-                continue
-            for k in range(n):
-                kernel[k][perms[idx][k]] += p
-    else:
-        kernel = np.zeros((n, n))
-        for idx, p in enumerate(law.probs):
-            if not p:
-                continue
-            for k in range(n):
-                kernel[k, perms[idx][k]] += p
+    kernel = np.full((n, n), Fraction(0) if law.exact else 0.0, dtype=law.probs.dtype)
+    for k in range(n):
+        np.add.at(kernel[k], perms[:, k], law.probs)
     return kernel
 
 

@@ -268,6 +268,15 @@ class TestHelp:
     def test_no_args_usage_error(self):
         assert run_cli([]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["singlecard", "--n", "10", "--a", "2", "--reps", "5"],
+        ["simulate", "--n", "1", "--stat", "S"],
+        ["eigen", "--n", "50", "--operator", "S", "--maxiter", "0"],
+    ])
+    def test_usage_error_shows_the_subcommand_usage(self, args, capsys):
+        assert run_cli(args) == 2
+        assert f"usage: shuffle-spectra {args[0]} " in capsys.readouterr().err
+
     @pytest.mark.parametrize("args", [["kernel", "--n", "5"],
                                       ["gcurve", "--b", "0.5"]])
     def test_seed_only_where_it_is_used(self, args):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from shuffle_spectra import (
     uniform_positions,
 )
 from shuffle_spectra import mixing
+from shuffle_spectra.batch import batch_round_positions
 from shuffle_spectra.mixing import all_perms, perm_rank, rank_rows
 
 import brute
@@ -74,19 +76,32 @@ class TestExactRoundPush:
             for order, p in bdist.items():
                 assert dist.probs[perm_rank([c - 1 for c in order])] == p
 
-    @pytest.mark.parametrize("kind", ["top", "cyclic", "transpositions"])
-    def test_baselines_match_brute_enumerator(self, kind):
-        n = 3
-        dist = exact_round_push(PermDistribution.point_mass(n), kind)
-        bdist = brute.brute_push(brute.brute_point_mass(n), n, kind)
+    @pytest.mark.parametrize("kind, n, rounds, start", [
+        pytest.param("top", 3, 1, (1, 2, 3), id="top"),
+        pytest.param("cyclic", 3, 1, (1, 2, 3), id="cyclic"),
+        pytest.param("transpositions", 3, 1, (1, 2, 3), id="transpositions"),
+        pytest.param("top", 4, 2, (3, 1, 4, 2), id="top-n4-scrambled-2rounds"),
+        pytest.param("cyclic", 4, 2, (3, 1, 4, 2), id="cyclic-n4-scrambled-2rounds"),
+        pytest.param("transpositions", 3, 2, (1, 2, 3), id="transpositions-2rounds"),
+    ])
+    def test_baselines_match_brute_enumerator(self, kind, n, rounds, start):
+        dist = PermDistribution.point_mass(n, order=start)
+        bdist = {start: Fraction(1)}
+        for _ in range(rounds):
+            dist = exact_round_push(dist, kind)
+            bdist = brute.brute_push(bdist, n, kind)
         for order, p in bdist.items():
             assert dist.probs[perm_rank([c - 1 for c in order])] == p
 
-    def test_ccr_matches_brute_enumerator_two_rounds(self):
-        n = 3
-        dist = PermDistribution.point_mass(n)
-        bdist = brute.brute_point_mass(n)
-        for _ in range(2):
+    @pytest.mark.parametrize("n, rounds, start", [
+        pytest.param(3, 2, (1, 2, 3), id="n3-sorted-2rounds"),
+        pytest.param(4, 3, (1, 2, 3, 4), id="n4-sorted-3rounds"),
+        pytest.param(4, 3, (3, 1, 4, 2), id="n4-scrambled-3rounds"),
+    ])
+    def test_ccr_matches_brute_enumerator(self, n, rounds, start):
+        dist = PermDistribution.point_mass(n, order=start)
+        bdist = {start: Fraction(1)}
+        for _ in range(rounds):
             dist = exact_round_push(dist, "ccr")
             bdist = brute.brute_push(bdist, n, "ccr")
         for order, p in bdist.items():
@@ -130,6 +145,24 @@ class TestExactRoundPush:
         out = exact_round_push(dist, "ccrr")
         assert out.probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert float(tv_to_uniform(out)) < float(tv_to_uniform(dist))
+
+    @pytest.mark.parametrize("kind", ["ccrr", "ccr", "top", "cyclic", "transpositions"])
+    def test_float_path_matches_rational_push(self, kind):
+        exact = PermDistribution.point_mass(5)
+        approx = PermDistribution.point_mass(5, exact=False)
+        for _ in range(3):
+            exact = exact_round_push(exact, kind)
+            approx = exact_round_push(approx, kind)
+        assert exact.exact and not approx.exact
+        np.testing.assert_allclose(approx.probs, exact.as_floats(), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_ccrr_law_matches_batch_round_over_all_slot_vectors(self, n):
+        slots = np.array(list(itertools.product(range(1, n + 1), repeat=n)))
+        positions = batch_round_positions(slots)
+        counts = np.bincount(rank_rows(positions - 1), minlength=math.factorial(n))
+        law = round_position_law(n, "ccrr")
+        assert law.probs.tolist() == [Fraction(int(c), n**n) for c in counts]
 
     def test_ccr_capability_cap(self):
         with pytest.raises(CapabilityError):
