@@ -8,7 +8,7 @@ deck sizes, and the eigenvector-statistic lower-bound experiment.
 __version__ = "0.1.0"
 
 from .batch import BatchCcrr, batch_round_positions, uniform_positions
-from .deck import Deck, FastDeck, RngStream, positions_vector
+from .deck import Deck, FastDeck, RngStream
 from .ideal import (
     GridKernel,
     MatrixFreeKernel,
@@ -39,9 +39,8 @@ from .mixing import (
     run_lower_bound_experiment,
     tv_to_uniform,
 )
-from .shuffles import RoundTrace, ShuffleKind, run_round, run_rounds
+from .shuffles import ShuffleKind, run_round
 from .spectral import (
-    CertifiedBound,
     EigenEstimate,
     interpolate,
     oscillation_stats,
@@ -55,7 +54,7 @@ from .spectral import (
 __all__ = [
     "__version__",
     "BatchCcrr", "batch_round_positions", "uniform_positions",
-    "Deck", "FastDeck", "RngStream", "positions_vector",
+    "Deck", "FastDeck", "RngStream",
     "GridKernel", "MatrixFreeKernel", "NumericError", "apply_sym",
     "build_kernel", "g", "g_inverse", "g_prime",
     "kernel_from_binary", "kernel_to_binary", "kernel_to_csv", "u0",
@@ -64,8 +63,8 @@ __all__ = [
     "TestStatistic", "check_conditional_bands",
     "empirical_single_card", "exact_round_push", "exact_single_card_kernel",
     "round_position_law", "run_lower_bound_experiment", "tv_to_uniform",
-    "RoundTrace", "ShuffleKind", "run_round", "run_rounds",
-    "CertifiedBound", "EigenEstimate", "interpolate", "oscillation_stats",
+    "ShuffleKind", "run_round",
+    "EigenEstimate", "interpolate", "oscillation_stats",
     "residual", "second_eig_b", "second_eig_sym", "skew_norm",
     "smooth_boundary",
 ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -28,7 +29,6 @@ from .ideal import (
     kernel_to_csv,
 )
 from .mixing import (
-    CapabilityError,
     PermDistribution,
     empirical_single_card,
     exact_round_push,
@@ -67,10 +67,19 @@ def _write_csv(path, header, rows, config):
             fh.close()
 
 
+def _strict(x):
+    """JSON has no NaN or infinity: an undefined value is written as null."""
+    if isinstance(x, dict):
+        return {k: _strict(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_strict(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _write_json(path, payload):
     fh, close = _open_out(path)
     try:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_strict(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     finally:
         if close:
@@ -185,8 +194,8 @@ def cmd_simulate(args, parser):
         parser.error("need --n >= 1, --rounds >= 0, --reps >= 1")
     if args.stat == "S" and kind is not ShuffleKind.CCRR:
         parser.error("--stat S is defined for the ccrr kind")
-    if args.stat == "S" and args.n < 2:
-        parser.error("--stat S needs --n >= 2")
+    if args.stat == "S" and (args.n < 2 or args.reps < 2):
+        parser.error("--stat S needs --n >= 2 and --reps >= 2")
     config = {
         "cmd": "simulate", "kind": kind.value, "n": args.n,
         "rounds": args.rounds, "reps": args.reps, "seed": args.seed,
@@ -216,29 +225,22 @@ def cmd_simulate(args, parser):
                        traj.to_rows(), config)
         return 0
     # positions statistic: mean and variance of card 1's depth per round
-    rows = []
+    pos = np.empty((args.rounds + 1, args.reps))
     if kind is ShuffleKind.CCRR:
         sim = BatchCcrr(args.n, args.reps, args.seed)
-        depths = sim.positions()[:, 0] / args.n
-        rows.append((0, float(depths.mean()), float(depths.var(ddof=1) if args.reps > 1 else 0.0), args.reps))
-        for t in range(1, args.rounds + 1):
-            sim.run_round()
-            depths = sim.positions()[:, 0] / args.n
-            rows.append((t, float(depths.mean()),
-                         float(depths.var(ddof=1) if args.reps > 1 else 0.0), args.reps))
+        for t in range(args.rounds + 1):
+            if t:
+                sim.run_round()
+            pos[t] = sim.positions()[:, 0]
     else:
-        per_round = [[] for _ in range(args.rounds + 1)]
         for r in range(args.reps):
-            deck = Deck.identity(args.n)
-            rng = RngStream(args.seed, 1 + r)
-            per_round[0].append(deck.position_of(1) / args.n)
-            for t in range(1, args.rounds + 1):
-                run_round(deck, kind, rng, round_index=t)
-                per_round[t].append(deck.position_of(1) / args.n)
-        for t, vals in enumerate(per_round):
-            arr = np.asarray(vals)
-            rows.append((t, float(arr.mean()),
-                         float(arr.var(ddof=1) if args.reps > 1 else 0.0), args.reps))
+            deck, rng = Deck.identity(args.n), RngStream(args.seed, 1 + r)
+            for t in range(args.rounds + 1):
+                if t:
+                    run_round(deck, kind, rng)
+                pos[t, r] = deck.position_of(1)
+    rows = [(t, float(d.mean()), float(d.var(ddof=1)) if args.reps > 1 else 0.0,
+             args.reps) for t, d in enumerate(pos / args.n)]
     _write_csv(args.out, ["round", "mean_pos", "var_pos", "reps"], rows, config)
     return 0
 
@@ -250,14 +252,11 @@ def cmd_exact(args, parser):
     if args.rounds < 0:
         parser.error("--rounds must be >= 0")
     config = {"cmd": "exact", "kind": kind.value, "n": args.n, "rounds": args.rounds}
-    try:
-        dist = PermDistribution.point_mass(args.n)
-        rows = [(0, float(tv_to_uniform(dist)))]
-        for t in range(1, args.rounds + 1):
-            dist = exact_round_push(dist, kind)
-            rows.append((t, float(tv_to_uniform(dist))))
-    except CapabilityError as exc:
-        parser.error(str(exc))
+    dist = PermDistribution.point_mass(args.n)
+    rows = [(0, float(tv_to_uniform(dist)))]
+    for t in range(1, args.rounds + 1):
+        dist = exact_round_push(dist, kind)
+        rows.append((t, float(tv_to_uniform(dist))))
     if args.format == "json":
         _write_json(args.out, {"config": config,
                                "tv": [{"round": t, "tv": v} for t, v in rows]})

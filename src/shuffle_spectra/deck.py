@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Deck", "FastDeck", "RngStream", "positions_vector"]
+__all__ = ["Deck", "FastDeck", "RngStream"]
 
 
 class RngStream:
@@ -38,10 +38,6 @@ class RngStream:
         self.stream = int(stream)
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
-
-    def substream(self, offset: int) -> "RngStream":
-        """A fresh stream with id shifted by ``offset`` (same seed)."""
-        return RngStream(self.seed, self.stream + offset)
 
     def slot(self, n: int) -> int:
         """One uniform draw from {1..n}."""
@@ -117,23 +113,14 @@ class Deck:
             self.inv[ci], self.inv[cj] = j, i
         return self
 
-    def copy(self) -> "Deck":
-        return Deck(self.order)
+    def to_order(self) -> list:
+        return list(self.order)
 
     def __eq__(self, other):
         return isinstance(other, Deck) and self.order == other.order
 
     def __repr__(self):
         return f"Deck({self.order})"
-
-
-def positions_vector(deck) -> np.ndarray:
-    """Depth of each card: entry i-1 is position(card i) / n, in (0, 1]."""
-    n = deck.n
-    out = np.empty(n)
-    for card in range(1, n + 1):
-        out[card - 1] = deck.position_of(card) / n
-    return out
 
 
 class _Block:
@@ -320,9 +307,6 @@ class FastDeck:
 
     def to_order(self) -> list:
         return [c for blk in self.blocks for c in blk.cards]
-
-    def to_deck(self) -> Deck:
-        return Deck(self.to_order())
 
     def __eq__(self, other):
         if isinstance(other, FastDeck):

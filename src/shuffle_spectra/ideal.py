@@ -115,13 +115,8 @@ def g_prime(b, u, side="auto"):
     u = _check_unit("u", u)
     e1b = np.exp(1.0 - b)
     second = e1b - np.exp(-b) * np.exp(np.exp(-b) * (1.0 - u))
-    if side == "left":
-        low = u <= u0(np.asarray(b))
-    elif side == "right":
-        low = u < u0(np.asarray(b))
-    else:
-        low = u <= u0(np.asarray(b))
-    out = np.where(low, e1b, second)
+    ub = u0(np.asarray(b))
+    out = np.where(u < ub if side == "right" else u <= ub, e1b, second)
     return float(out) if out.ndim == 0 else out
 
 

@@ -13,8 +13,10 @@ the order they hold when it starts, so it is position-driven: the card in
 start-of-round position k lands in position F(k) for a random map F whose
 law does not depend on the deck.  That law is one round of steps from the
 sorted deck (where CCRR's round is CCR's), inverted, and a CCRR push is
-the convolution q'(o') = sum_F P(F) q(o' o F).  The exact layer shares no
-code with the Monte Carlo kernel, so each checks the other.
+the convolution q'(o') = sum_F P(F) q(o' o F), read through the Cayley
+table of S_n (row j gathers q at o o p_j for every order o; built once per
+n).  The exact layer shares no code with the Monte Carlo kernel, so each
+checks the other.
 
 Monte Carlo machinery (large n).  Replicated CCRR rounds from the sorted
 deck give the empirical single-card law conditioned on the card's own
@@ -168,7 +170,7 @@ def tv_to_uniform(dist):
 
 _TARGETS_CACHE: dict = {}
 _LAW_CACHE: dict = {}
-_GATHER_CACHE: dict = {}
+_TABLE_CACHE: dict = {}
 
 
 def _step_targets(n, kind, k):
@@ -229,15 +231,29 @@ def _step_round(probs, n, kind):
     return probs
 
 
-def _compose_gather(n, f):
-    """Index array G with G[rank(o)] = rank(o o f) for a fixed map f."""
-    key = (n, tuple(int(x) for x in f))
-    if key not in _GATHER_CACHE:
+def _cayley_table(n):
+    """Composition table of S_n: table[j][i] = rank(p_i o p_j), as uint16.
+
+    Row 0 is the identity.  Every other p_j has a descent at some s, and
+    p_j o s ranks below j.  With g = rank_rows(perms[:, s]), which sends
+    rank(p) to rank(p o s), p_i o p_j = (p_i o (p_j o s)) o s makes row j
+    g[table[g[j]]], so the rows fill in rank order.
+    """
+    if n not in _TABLE_CACHE:
         perms = all_perms(n)
-        ranks = rank_rows(perms[:, list(f)])
-        dtype = np.uint16 if ranks.size <= np.iinfo(np.uint16).max else np.int64
-        _GATHER_CACHE[key] = ranks.astype(dtype)
-    return _GATHER_CACHE[key]
+        size = perms.shape[0]
+        gathers = []
+        for s in range(n - 1):
+            swap = np.arange(n)
+            swap[[s, s + 1]] = s + 1, s
+            gathers.append(rank_rows(perms[:, swap]).astype(np.uint16))
+        table = np.empty((size, size), dtype=np.uint16)
+        table[0] = np.arange(size)
+        for j in range(1, size):
+            g_s = gathers[np.argmax(perms[j, :-1] > perms[j, 1:])]  # first descent
+            table[j] = g_s[table[g_s[j]]]
+        _TABLE_CACHE[n] = table
+    return _TABLE_CACHE[n]
 
 
 def round_position_law(n, kind):
@@ -270,16 +286,14 @@ def exact_round_push(dist, kind):
     """Exact one-round pushforward of a distribution on S_n.
 
     CCR, top-to-random, cyclic-to-random and random transpositions step the
-    distribution move by move (CCR is capped at n <= 5).  A CCRR round's
-    schedule is the order at its start, so CCRR convolves with the cached
-    position-map law instead: q'(o') = sum_F P(F) q(o' o F).
+    distribution move by move.  A CCRR round's schedule is the order at its
+    start, so CCRR convolves with the cached position-map law instead:
+    q'(o') = sum_F P(F) q(o' o F), one Cayley-table row per map F.
     """
     kind = ShuffleKind(kind)
     n = dist.n
     if n > ENUM_N_MAX:
         raise CapabilityError(f"exact pushforward capped at n <= {ENUM_N_MAX}")
-    if kind is ShuffleKind.CCR and n > EXACT_N_MAX:
-        raise CapabilityError(f"CCR exact pushforward capped at n <= {EXACT_N_MAX}")
     if kind is not ShuffleKind.CCRR:
         return PermDistribution(n=n, probs=_step_round(dist.probs, n, kind),
                                 exact=dist.exact)
@@ -287,19 +301,9 @@ def exact_round_push(dist, kind):
     law = round_position_law(n, kind)
     if dist.exact and not law.exact:
         raise CapabilityError("exact distribution with inexact law; lower n")
-    perms = all_perms(n)
-    size = math.factorial(n)
-    if dist.exact:
-        out = np.array([Fraction(0)] * size, dtype=object)
-    else:
-        out = np.zeros(size)
     law_probs = law.probs if dist.exact else law.as_floats()
-    for i_f in range(size):
-        pf = law_probs[i_f]
-        if not pf:
-            continue
-        gather = _compose_gather(n, perms[i_f])
-        out += pf * dist.probs[gather]
+    table = _cayley_table(n)
+    out = sum(law_probs[j] * dist.probs[table[j]] for j in np.flatnonzero(law_probs))
     return PermDistribution(n=n, probs=out, exact=dist.exact)
 
 

@@ -19,13 +19,8 @@ card), each grouped into rounds of n steps.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
-import numpy as np
-
-from .deck import positions_vector
-
-__all__ = ["ShuffleKind", "RoundTrace", "run_round", "run_rounds"]
+__all__ = ["ShuffleKind", "run_round"]
 
 
 class ShuffleKind(enum.Enum):
@@ -43,52 +38,38 @@ class ShuffleKind(enum.Enum):
         raise ValueError(f"unknown shuffle kind {name!r}")
 
 
-@dataclass
-class RoundTrace:
-    """Per-step draws and the end-of-round positions, for diagnostics."""
-
-    round_index: int
-    slots: list = field(default_factory=list)
-    positions: np.ndarray | None = None
+# One loop per kind: a single loop branching on the kind at every step is
+# measurably slower on the sequential decks.
 
 
-def _round_ccr(deck, rng, trace):
-    for card in range(1, deck.n + 1):
-        u = rng.slot(deck.n)
-        deck.remove_insert(card, u)
-        trace.slots.append(u)
+def _round_ccr(deck, rng):
+    n = deck.n
+    for card in range(1, n + 1):
+        deck.remove_insert(card, rng.slot(n))
 
 
-def _round_ccrr(deck, rng, trace):
-    schedule = list(deck.order) if hasattr(deck, "order") else deck.to_order()
-    for card in schedule:
-        u = rng.slot(deck.n)
-        deck.remove_insert(card, u)
-        trace.slots.append(u)
+def _round_ccrr(deck, rng):
+    n = deck.n
+    for card in deck.to_order():
+        deck.remove_insert(card, rng.slot(n))
 
 
-def _round_top_to_random(deck, rng, trace):
-    for _ in range(deck.n):
-        u = rng.slot(deck.n)
-        deck.remove_insert(deck.card_at(1), u)
-        trace.slots.append(u)
-
-
-def _round_random_transpositions(deck, rng, trace):
+def _round_top_to_random(deck, rng):
     n = deck.n
     for _ in range(n):
-        i = rng.slot(n)
-        j = rng.slot(n)
-        deck.swap_positions(i, j)
-        trace.slots.append((i, j))
+        deck.remove_insert(deck.card_at(1), rng.slot(n))
 
 
-def _round_cyclic_to_random(deck, rng, trace):
+def _round_random_transpositions(deck, rng):
+    n = deck.n
+    for _ in range(n):
+        deck.swap_positions(rng.slot(n), rng.slot(n))
+
+
+def _round_cyclic_to_random(deck, rng):
     n = deck.n
     for k in range(1, n + 1):
-        j = rng.slot(n)
-        deck.swap_positions(k, j)
-        trace.slots.append((k, j))
+        deck.swap_positions(k, rng.slot(n))
 
 
 _ROUNDS = {
@@ -100,26 +81,13 @@ _ROUNDS = {
 }
 
 
-def run_round(deck, kind, rng, round_index=0):
-    """Run one round (n single-card moves) in place; return (deck, trace).
+def run_round(deck, kind, rng):
+    """Run one round (n single-card moves) on ``deck`` in place; return it.
 
     CCR processes cards by their fixed original labels; CCRR by the
     positions held at the start of this round, which is the relabeling
-    semantics without mutating any labels.  The swap-based kinds record
-    the swapped position pair per step instead of an insertion slot.
+    semantics without mutating any labels.  Each step draws one uniform
+    slot from ``rng.slot(n)``; a random transposition draws two.
     """
-    trace = RoundTrace(round_index=round_index)
-    _ROUNDS[kind](deck, rng, trace)
-    trace.positions = positions_vector(deck)
-    return deck, trace
-
-
-def run_rounds(deck, kind, t, rng, per_round=None):
-    """Run t rounds; optionally call per_round(round_index, deck, trace)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    for r in range(1, t + 1):
-        _, trace = run_round(deck, kind, rng, round_index=r)
-        if per_round is not None:
-            per_round(r, deck, trace)
+    _ROUNDS[kind](deck, rng)
     return deck

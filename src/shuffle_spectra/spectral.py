@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "EigenEstimate",
-    "CertifiedBound",
     "second_eig_sym",
     "skew_norm",
     "second_eig_b",
@@ -52,10 +51,6 @@ class EigenEstimate:
     note: str = ""
     rayleigh_history: list = field(default_factory=list, repr=False)
 
-    @property
-    def certified(self) -> bool:
-        return self.operator in ("S", "D")
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -70,24 +65,6 @@ class EigenEstimate:
                 "note": self.note,
             }
         )
-
-
-@dataclass
-class CertifiedBound:
-    """A spectral claim checked against an achieved numeric value."""
-
-    kind: str  # "second-eig-lower" | "norm-upper"
-    threshold: float
-    achieved: float
-    n: int
-
-    @property
-    def satisfied(self) -> bool:
-        if self.kind == "second-eig-lower":
-            return self.achieved > self.threshold
-        if self.kind == "norm-upper":
-            return self.achieved < self.threshold
-        raise ValueError(f"unknown bound kind {self.kind!r}")
 
 
 _PROBE_EVERY = 50  # a quasi-periodic Rayleigh sequence never builds a streak

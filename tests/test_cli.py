@@ -210,6 +210,28 @@ class TestSimulateCmd:
         assert run_cli(["simulate", "--n", "1", "--stat", "S", "--rounds", "1",
                         "--reps", "2"]) == 2
 
+    def test_stat_s_needs_two_reps_before_solving(self, monkeypatch):
+        def solver(*args, **kwargs):
+            raise AssertionError("solved before validating --reps")
+
+        monkeypatch.setattr(cli, "second_eig_b", solver)
+        monkeypatch.setattr(cli, "second_eig_sym", solver)
+        assert run_cli(["simulate", "--n", "40", "--stat", "S", "--rounds", "3",
+                        "--reps", "1", "--format", "json"]) == 2
+
+    def test_stat_s_json_is_strict_without_a_fit(self, tmp_path):
+        # no round to fit: r_hat and r_hat_signed are undefined, written as null
+        out = tmp_path / "s.json"
+        assert run_cli(["simulate", "--n", "40", "--stat", "S", "--rounds", "0",
+                        "--reps", "20", "--format", "json", "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        assert payload["r_hat"] is None and payload["r_hat_signed"] is None
+        assert payload["var_inf"] > 0
+
     def test_unknown_kind(self):
         assert run_cli(["simulate", "--kind", "riffle", "--n", "10"]) == 2
 
@@ -235,8 +257,12 @@ class TestExactCmd:
     def test_n_cap(self):
         assert run_cli(["exact", "--n", "8", "--rounds", "1"]) == 2
 
-    def test_ccr_cap_propagates_as_usage_error(self):
-        assert run_cli(["exact", "--kind", "ccr", "--n", "6", "--rounds", "1"]) == 2
+    def test_ccr_runs_at_n7(self, tmp_path):
+        out = tmp_path / "tv.csv"
+        assert run_cli(["exact", "--kind", "ccr", "--n", "7", "--rounds", "2",
+                        "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert [int(r[0]) for r in rows] == [0, 1, 2]
 
 
 class TestSingleCardCmd:

@@ -7,7 +7,6 @@ from shuffle_spectra import (
     Deck,
     FastDeck,
     RngStream,
-    positions_vector,
 )
 
 
@@ -49,22 +48,6 @@ class TestRemoveInsert:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             Deck([1, 1, 3])
-
-
-class TestPositionsVector:
-    def test_identity_n4(self):
-        np.testing.assert_allclose(
-            positions_vector(Deck.identity(4)), [0.25, 0.5, 0.75, 1.0]
-        )
-
-    def test_reversed_n2(self):
-        v = positions_vector(Deck([2, 1]))
-        assert v[0] == 1.0  # card 1 at the bottom
-        assert v[1] == 0.5  # card 2 on top
-
-    def test_cycled_n3(self):
-        v = positions_vector(Deck([2, 3, 1]))
-        np.testing.assert_allclose(v, [1.0, 1 / 3, 2 / 3])
 
 
 ops = st.lists(
@@ -185,12 +168,6 @@ class TestRngStream:
         counts = np.bincount(draws, minlength=7)[1:]
         sigma = np.sqrt(2000 * (1 / 6) * (5 / 6))
         assert np.abs(counts - 2000 / 6).max() < 5 * sigma
-
-    def test_substream(self):
-        base = RngStream(9, 3)
-        sub = base.substream(4)
-        assert sub.seed == 9 and sub.stream == 7
-        assert np.array_equal(sub.slots(10, 20), RngStream(9, 7).slots(10, 20))
 
     def test_permutation(self):
         p = RngStream(5, 5).permutation(10)

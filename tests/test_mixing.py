@@ -39,6 +39,13 @@ class TestPermIndexing:
         assert ranks.tolist() == list(range(math.factorial(5)))
         assert perm_rank(perms[77]) == 77
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_cayley_table_rows_are_compositions(self, n):
+        perms = all_perms(n)
+        table = mixing._cayley_table(n)
+        for j in range(perms.shape[0]):
+            assert table[j].tolist() == rank_rows(perms[:, perms[j]]).tolist()
+
 
 class TestPermDistribution:
     def test_point_mass_tv(self):
@@ -165,8 +172,16 @@ class TestExactRoundPush:
         assert law.probs.tolist() == [Fraction(int(c), n**n) for c in counts]
 
     def test_ccr_capability_cap(self):
+        # CCR pushes through n = 7 like every kind; its round 1 from the
+        # sorted deck is CCRR's round 1
+        for n in (6, 7):
+            start = PermDistribution.point_mass(n)
+            ccr = exact_round_push(start, "ccr").probs
+            ccrr = exact_round_push(start, "ccrr").probs
+            assert np.abs(ccr - ccrr).max() <= 1e-15
+        too_big = PermDistribution(n=8, probs=np.zeros(math.factorial(8)), exact=False)
         with pytest.raises(CapabilityError):
-            exact_round_push(PermDistribution.point_mass(6), "ccr")
+            exact_round_push(too_big, "ccr")
 
     def test_ccr_law_not_exposed(self):
         with pytest.raises(CapabilityError):

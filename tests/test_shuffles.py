@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shuffle_spectra import Deck, RngStream, ShuffleKind, run_round, run_rounds
+from shuffle_spectra import Deck, RngStream, ShuffleKind, run_round
 
 
 class FixedRng:
@@ -17,29 +17,36 @@ class FixedRng:
 class TestRoundBasics:
     @pytest.mark.parametrize("kind", list(ShuffleKind))
     def test_n1_is_identity(self, kind):
-        deck, trace = run_round(Deck.identity(1), kind, RngStream(0, 0))
+        deck = run_round(Deck.identity(1), kind, RngStream(0, 0))
         assert deck.order == [1]
-        assert len(trace.slots) == 1
+
+    @pytest.mark.parametrize("kind", list(ShuffleKind))
+    def test_round_draws_exactly_its_slots(self, kind):
+        # n draws per round (2n for transpositions): one draw missing raises,
+        # and none is left over
+        n = 6
+        per_step = 2 if kind is ShuffleKind.RANDOM_TRANSPOSITIONS else 1
+        rng = FixedRng([1 + i % n for i in range(per_step * n)])
+        deck = Deck.identity(n)
+        assert run_round(deck, kind, rng) is deck
+        assert rng.draws == []
+        with pytest.raises(IndexError):
+            run_round(deck, kind, FixedRng([1] * (per_step * n - 1)))
 
     def test_ccrr_n2_hand_trace(self):
         # slots (2, 1): the starting top card goes to the bottom, then the
         # card that started second (now on top) is reinserted on top
-        deck, trace = run_round(Deck.identity(2), ShuffleKind.CCRR, FixedRng([2, 1]))
+        deck = run_round(Deck.identity(2), ShuffleKind.CCRR, FixedRng([2, 1]))
         assert deck.order == [2, 1]
-        assert trace.slots == [2, 1]
 
     def test_trace_has_n_steps_and_positions(self):
-        deck, trace = run_round(Deck.identity(7), ShuffleKind.CCRR, RngStream(3, 1))
-        assert len(trace.slots) == 7
+        deck = run_round(Deck.identity(7), ShuffleKind.CCRR, RngStream(3, 1))
         assert sorted(deck.order) == list(range(1, 8))
-        np.testing.assert_allclose(
-            sorted(trace.positions), np.arange(1, 8) / 7
-        )
 
     def test_round1_ccr_equals_ccrr(self):
         for seed in range(5):
-            a, _ = run_round(Deck.identity(20), ShuffleKind.CCR, RngStream(seed, 0))
-            b, _ = run_round(Deck.identity(20), ShuffleKind.CCRR, RngStream(seed, 0))
+            a = run_round(Deck.identity(20), ShuffleKind.CCR, RngStream(seed, 0))
+            b = run_round(Deck.identity(20), ShuffleKind.CCRR, RngStream(seed, 0))
             assert a.order == b.order
 
     def test_ccr_processes_labels_ccrr_processes_positions(self):
@@ -57,26 +64,12 @@ class TestRoundBasics:
 
 
 class TestRunRounds:
-    def test_zero_rounds(self):
-        d = Deck([3, 1, 2])
-        out = run_rounds(d, ShuffleKind.CCRR, 0, RngStream(0, 0))
-        assert out.order == [3, 1, 2]
-
-    def test_negative_rounds(self):
-        with pytest.raises(ValueError):
-            run_rounds(Deck.identity(3), ShuffleKind.CCRR, -1, RngStream(0, 0))
-
-    def test_callback_sees_every_round(self):
-        seen = []
-        run_rounds(
-            Deck.identity(6), ShuffleKind.CCRR, 4, RngStream(2, 0),
-            per_round=lambda r, deck, trace: seen.append((r, len(trace.slots))),
-        )
-        assert seen == [(1, 6), (2, 6), (3, 6), (4, 6)]
-
     def test_ccr_vs_ccrr_divergence_n52(self):
-        a = run_rounds(Deck.identity(52), ShuffleKind.CCR, 2, RngStream(7, 0))
-        b = run_rounds(Deck.identity(52), ShuffleKind.CCRR, 2, RngStream(7, 0))
+        a, b = Deck.identity(52), Deck.identity(52)
+        rng_a, rng_b = RngStream(7, 0), RngStream(7, 0)
+        for _ in range(2):
+            run_round(a, ShuffleKind.CCR, rng_a)
+            run_round(b, ShuffleKind.CCRR, rng_b)
         assert a.order != b.order
 
     def test_long_run_card1_occupancy_uniform(self):
@@ -86,12 +79,11 @@ class TestRunRounds:
         deck = Deck.identity(n)
         rng = RngStream(123, 0)
         counts = np.zeros(n + 1)
-        run_rounds(deck, ShuffleKind.CCRR, burn, rng)
-
-        def record(r, d, trace):
-            counts[d.position_of(1)] += 1
-
-        run_rounds(deck, ShuffleKind.CCRR, rounds, rng, per_round=record)
+        for _ in range(burn):
+            run_round(deck, ShuffleKind.CCRR, rng)
+        for _ in range(rounds):
+            run_round(deck, ShuffleKind.CCRR, rng)
+            counts[deck.position_of(1)] += 1
         freq = counts[1:] / rounds
         sigma = np.sqrt((1 / n) * (1 - 1 / n) / rounds)
         assert np.abs(freq - 1 / n).max() < 3 * sigma * 2
@@ -99,32 +91,36 @@ class TestRunRounds:
 
 class TestBaselines:
     def test_top_to_random_moves_top(self):
-        deck, trace = run_round(
+        deck = run_round(
             Deck.identity(4), ShuffleKind.TOP_TO_RANDOM, FixedRng([4, 4, 4, 4])
         )
         # each step sends the current top card to the bottom
         assert deck.order == [1, 2, 3, 4]
 
     def test_top_to_random_identity_slots(self):
-        deck, _ = run_round(
+        deck = run_round(
             Deck.identity(4), ShuffleKind.TOP_TO_RANDOM, FixedRng([1, 1, 1, 1])
         )
         assert deck.order == [1, 2, 3, 4]
 
     def test_transpositions_record_pairs(self):
-        deck, trace = run_round(
-            Deck.identity(3), ShuffleKind.RANDOM_TRANSPOSITIONS, RngStream(5, 0)
+        # (1<->3), (2<->2), (3<->1)
+        deck = run_round(
+            Deck.identity(3), ShuffleKind.RANDOM_TRANSPOSITIONS,
+            FixedRng([1, 3, 2, 2, 3, 1]),
         )
-        assert len(trace.slots) == 3
-        assert all(len(p) == 2 for p in trace.slots)
-        assert sorted(deck.order) == [1, 2, 3]
+        assert deck.order == [1, 2, 3]
+        deck = run_round(
+            Deck.identity(3), ShuffleKind.RANDOM_TRANSPOSITIONS,
+            FixedRng([1, 2, 1, 2, 2, 3]),
+        )
+        assert deck.order == [1, 3, 2]
 
     def test_cyclic_swaps_position_k(self):
-        deck, trace = run_round(
+        deck = run_round(
             Deck.identity(3), ShuffleKind.CYCLIC_TO_RANDOM, FixedRng([2, 3, 1])
         )
         # (1<->2), then (2<->3), then (3<->1)
-        assert [p[0] for p in trace.slots] == [1, 2, 3]
         assert deck.order == [1, 3, 2]
 
     def test_parse(self):

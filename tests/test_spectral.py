@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from shuffle_spectra import (
-    CertifiedBound,
     build_kernel,
     interpolate,
     oscillation_stats,
@@ -264,10 +263,3 @@ class TestReporting:
         }
         assert payload["operator"] == "S"
         assert payload["n"] == 100
-
-    def test_certified_bound(self):
-        assert CertifiedBound("second-eig-lower", 0.21, 0.2293, 100).satisfied
-        assert CertifiedBound("norm-upper", 0.13, 0.079, 100).satisfied
-        assert not CertifiedBound("norm-upper", 0.13, 0.2, 100).satisfied
-        with pytest.raises(ValueError):
-            CertifiedBound("sideways", 0, 0, 1).satisfied
