@@ -5,14 +5,19 @@ replicate executes the same schedule and only the insertion slots differ.
 That makes the round vectorizable across replicates with two passes:
 
 Forward pass.  Keep, per replicate, a Fenwick tree over "skeleton" slots
-1..n (the cards not yet processed this round, in their unchanged relative
-order) plus a bottom gap.  The weight of live slot i is 1 + (number of
-already-processed cards parked in the gap directly above skeleton card i),
-so prefix sums are deck positions.  Step k removes skeleton card k (its
-gap merges downward) and, for the reinsertion at final rank u, computes
-v_k = number of processed cards above the insertion point.  Because
-processed cards never change order relative to each other except through
-these insertions, the v_k fully determine the final arrangement.
+1..n (the cards of the start-of-round deck, in their unchanged relative
+order) plus a virtual bottom card at n+1.  Every slot holds 1 for its card
+plus the number of already-processed cards parked in the gap directly
+above it, so prefix sums count deck positions.  Step k takes skeleton
+card k out but leaves its slot as it is: the cards counted in slots 1..k
+all sit above card k+1, and slots 1..k hold k units more than those
+cards.  So the reinsertion at final rank u is the search for prefix u + k,
+and a search that ends in slot 1..k lands in the gap above card k+1.
+Either way it yields v_k = number of processed cards above the insertion
+point.  Because processed cards never change order relative to each
+other except through these insertions, the v_k fully determine the final
+arrangement.  The virtual bottom card makes u = n land in the bottom gap
+by an ordinary search.
 
 Reverse pass.  The final deck is the pure insertion sequence "card k
 enters at rank v_k + 1 among processed cards"; walking k = n..1 and
@@ -20,8 +25,13 @@ claiming the (v_k + 1)-th free slot of a fresh Fenwick tree yields every
 card's final position in O(n log n) per replicate, all replicates in
 lockstep.
 
-Trees are stored transposed, shape (size + 1, R), so fixed-index updates
-are contiguous row operations.
+Both passes use one fused descent.  A tree is one flat row-major array,
+node j of replicate c at j * R + c, so each level reads its R nodes with
+one ``take`` at a tracked flat index.  Rows past the last slot hold a
+sentinel no search passes, out to the descent's reach (twice the highest
+power of two <= size), so no index is clamped or masked.  The nodes a
+descent does not pass are exactly the found slot's update chain, so the
+descent adds the pass's +1 (forward) or -1 (reverse) to them as it goes.
 """
 
 from __future__ import annotations
@@ -32,67 +42,47 @@ from .deck import RngStream
 
 __all__ = ["batch_round_positions", "BatchCcrr", "uniform_positions"]
 
-
-def _tree_from_uniform_weights(size, reps, last_zero=True):
-    """Fenwick tree (size+1, reps) for unit weights at 1..size-1 or 1..size."""
-    w = np.ones(size + 1, dtype=np.int32)
-    w[0] = 0
-    if last_zero:
-        w[size] = 0
-    tree1 = w.copy()
-    for i in range(1, size + 1):
-        j = i + (i & -i)
-        if j <= size:
-            tree1[j] += tree1[i]
-    return np.repeat(tree1[:, None], reps, axis=1)
+_SENTINEL = 1 << 30  # above every prefix a descent searches for
 
 
-def _update_fixed(tree, size, idx, delta):
-    """tree[idx-chain] += delta for a scalar index, vector delta."""
-    i = idx
-    while i <= size:
-        tree[i] += delta
-        i += i & -i
+class _UnitTrees:
+    """R Fenwick trees over slots 1..size, every weight 1 at the start."""
 
+    def __init__(self, size, reps):
+        self.reps = reps
+        self.top = 1 << size.bit_length() >> 1  # highest power of two <= size
+        node = np.arange(2 * self.top)
+        node = np.where(node <= size, node & -node, _SENTINEL).astype(np.int32)
+        self.flat = np.repeat(node, reps)  # node j of replicate c at j * reps + c
+        self._cols = np.arange(reps, dtype=np.intp)
+        self._nxt = np.empty(reps, dtype=np.intp)
+        self._t, self._e, self._skip, self._tmp = np.empty((4, reps), dtype=np.int32)
 
-def _update_varying(tree, size, idx, delta, cols):
-    """Per-replicate point update at per-replicate indices."""
-    i = idx.copy()
-    active = i <= size
-    while active.any():
-        tree[i[active], cols[active]] += delta[active]
-        i = i + (i & -i)
-        active = i <= size
+    def descend(self, below, delta):
+        """Row f - 1 of the smallest slot f with prefix(f) > below, per replicate.
 
-
-def _select(tree, size, k, cols, topbit, decrement=False):
-    """Smallest index with prefix >= k, per replicate; size+1 if total < k.
-
-    With ``decrement`` the weight at the found index is also reduced by one
-    in the same descent (the skipped-over nodes are exactly that index's
-    update chain), fusing a select with its point update.
-    """
-    reps = k.shape[0]
-    pos = np.zeros(reps, dtype=np.int32)
-    rem = k.astype(np.int32, copy=True)
-    nxt = np.empty(reps, dtype=np.int32)
-    clipped = np.empty(reps, dtype=np.int32)
-    take = np.empty(reps, dtype=bool)
-    bit = topbit
-    while bit:
-        np.add(pos, bit, out=nxt)
-        np.minimum(nxt, size, out=clipped)
-        t = tree[clipped, cols]
-        np.less(t, rem, out=take)
-        take &= nxt <= size
-        rem = np.where(take, rem - t, rem)
-        pos = np.where(take, nxt, pos)
-        if decrement:
-            stay = nxt <= size
-            stay &= ~take
-            tree[nxt[stay], cols[stay]] -= 1
-        bit >>= 1
-    return pos + 1
+        Adds ``delta`` (+1 or -1) to slot f's weight in the same descent.
+        ``below`` (int32) is consumed.
+        """
+        reps, flat, nxt = self.reps, self.flat, self._nxt
+        t, e, skip, tmp = self._t, self._e, self._skip, self._tmp
+        update = np.subtract if delta > 0 else np.add  # t - skip: +1 where skip
+        bit = self.top
+        np.add(self._cols, bit * reps, out=nxt)
+        while True:
+            flat.take(nxt, out=t)
+            np.subtract(below, t, out=e)
+            np.right_shift(e, 31, out=skip)  # -1 where the node is not passed
+            update(t, skip, out=tmp)
+            flat[nxt] = tmp  # a node not passed is on slot f's update chain
+            np.bitwise_and(t, skip, out=tmp)
+            np.add(e, tmp, out=below)  # below - t where passed
+            np.bitwise_and(skip, bit * reps, out=tmp)
+            np.subtract(nxt, tmp, out=nxt)  # the row reached so far
+            bit >>= 1
+            if not bit:
+                return nxt // reps
+            np.add(nxt, bit * reps, out=nxt)
 
 
 def batch_round_positions(slots):
@@ -103,43 +93,28 @@ def batch_round_positions(slots):
     an int32 array of the same shape: entry [r, k-1] is that card's
     position at the end of the round.
     """
-    slots = np.asarray(slots)
+    slots = np.asarray(slots, dtype=np.int32)
     reps, n = slots.shape
-    size = n + 1  # skeleton slots 1..n plus the bottom gap at n+1
-    cols = np.arange(reps)
-    topbit = 1 << size.bit_length()
+    out = np.empty((reps, n), dtype=np.int32)
+    below = np.empty(reps, dtype=np.int32)
 
-    tree = _tree_from_uniform_weights(size, reps, last_zero=True)
-    w = np.ones((size + 1, reps), dtype=np.int32)
-    w[0] = 0
-    w[size] = 0
-
-    v = np.empty((reps, n), dtype=np.int32)
-    ones = np.ones(reps, dtype=np.int32)
+    tree = _UnitTrees(n + 1, reps)
     for k in range(1, n + 1):
-        # remove skeleton card k; its gap merges into the next live slot
-        gk = w[k] - 1
-        _update_fixed(tree, size, k, -(gk + 1))
-        _update_fixed(tree, size, k + 1, gk)
-        w[k] = 0
-        w[k + 1] += gk
-        # insert at final rank u: count processed cards above the new card
-        u = slots[:, k - 1].astype(np.int32)
-        istar = np.minimum(_select(tree, size, u, cols, topbit), size)
-        skel_above = np.clip(istar, k + 1, size) - (k + 1)
-        v[:, k - 1] = u - 1 - skel_above
-        _update_varying(tree, size, istar, ones, cols)
-        w[istar, cols] += 1
+        # insert at final rank u: pass u - 1 cards and the k processed units
+        um1 = slots[:, k - 1] - 1
+        np.add(um1, k, out=below)
+        row = tree.descend(below, +1)
+        # v_k = processed cards above: u - 1, less the live skeleton above
+        np.minimum(um1, um1 + k - row, out=out[:, k - 1])
+    del tree
 
-    # reverse pass: card k claims the (v_k + 1)-th free final slot
-    tree2 = _tree_from_uniform_weights(n, reps, last_zero=False)
-    topbit2 = 1 << n.bit_length()
-    final_pos = np.empty((reps, n), dtype=np.int32)
+    # reverse pass: card k claims the (v_k + 1)-th free final slot; its
+    # final position overwrites v_k in place
+    tree = _UnitTrees(n, reps)
     for k in range(n, 0, -1):
-        final_pos[:, k - 1] = _select(
-            tree2, n, v[:, k - 1] + 1, cols, topbit2, decrement=True
-        )
-    return final_pos
+        below[:] = out[:, k - 1]
+        np.add(tree.descend(below, -1), 1, out=out[:, k - 1])
+    return out
 
 
 class BatchCcrr:

@@ -190,12 +190,13 @@ def cmd_eigen(args, parser):
 
 def cmd_simulate(args, parser):
     kind = _parse_kind(args.kind, parser)
-    if args.n < 1 or args.rounds < 0 or args.reps < 1:
-        parser.error("need --n >= 1, --rounds >= 0, --reps >= 1")
+    # every statistic reports a sample variance, undefined for one replicate
+    if args.n < 1 or args.rounds < 0 or args.reps < 2:
+        parser.error("need --n >= 1, --rounds >= 0, --reps >= 2")
     if args.stat == "S" and kind is not ShuffleKind.CCRR:
         parser.error("--stat S is defined for the ccrr kind")
-    if args.stat == "S" and (args.n < 2 or args.reps < 2):
-        parser.error("--stat S needs --n >= 2 and --reps >= 2")
+    if args.stat == "S" and args.n < 2:
+        parser.error("--stat S needs --n >= 2")
     config = {
         "cmd": "simulate", "kind": kind.value, "n": args.n,
         "rounds": args.rounds, "reps": args.reps, "seed": args.seed,
@@ -239,8 +240,8 @@ def cmd_simulate(args, parser):
                 if t:
                     run_round(deck, kind, rng)
                 pos[t, r] = deck.position_of(1)
-    rows = [(t, float(d.mean()), float(d.var(ddof=1)) if args.reps > 1 else 0.0,
-             args.reps) for t, d in enumerate(pos / args.n)]
+    rows = [(t, float(d.mean()), float(d.var(ddof=1)), args.reps)
+            for t, d in enumerate(pos / args.n)]
     _write_csv(args.out, ["round", "mean_pos", "var_pos", "reps"], rows, config)
     return 0
 

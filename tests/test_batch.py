@@ -1,4 +1,7 @@
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from shuffle_spectra import (
     BatchCcrr,
@@ -38,6 +41,40 @@ class TestBatchRoundAgainstLiteralReplay:
         slots = rng.integers(1, 13, size=(64, 12))
         fp = batch_round_positions(slots)
         assert np.array_equal(np.sort(fp, axis=1), np.tile(np.arange(1, 13), (64, 1)))
+
+
+def _edge_sizes():
+    # the reverse tree's top power of two moves at n = 2^k, the forward
+    # tree's (slots 1..n plus the bottom card) at n = 2^k - 1
+    sizes = {1, 2, 3}
+    for k in range(2, 8):
+        sizes.update(range(2**k - 2, 2**k + 2))
+    return sorted(sizes)
+
+
+class TestBatchRoundDescentEdges:
+    @pytest.mark.parametrize("n", _edge_sizes())
+    def test_matches_literal_replay(self, n):
+        rng = np.random.default_rng(n)
+        slots = np.stack([rng.integers(1, n + 1, size=n),  # random
+                          np.ones(n, dtype=np.int64),      # every card to the top
+                          np.full(n, n)])                  # every card to the bottom
+        fp = batch_round_positions(slots)
+        for row, draws in zip(fp, slots):
+            final = literal_round(tuple(range(1, n + 1)), "ccrr", draws.tolist())
+            assert row.tolist() == [final.index(k) + 1 for k in range(1, n + 1)]
+
+    def test_peak_memory_below_four_position_arrays(self):
+        n, reps = 1000, 100
+        slots = np.random.default_rng(3).integers(1, n + 1, size=(reps, n),
+                                                  dtype=np.int32)
+        tracemalloc.start()
+        try:
+            batch_round_positions(slots)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * reps * n * np.dtype(np.int32).itemsize
 
 
 class TestBatchCcrrEquivalence:

@@ -219,6 +219,17 @@ class TestSimulateCmd:
         assert run_cli(["simulate", "--n", "40", "--stat", "S", "--rounds", "3",
                         "--reps", "1", "--format", "json"]) == 2
 
+    @pytest.mark.parametrize("kind", ["ccrr", "top"])
+    def test_positions_needs_two_reps(self, kind, monkeypatch):
+        # the sample variance of one replicate is undefined, not 0
+        def simulate(*args, **kwargs):
+            raise AssertionError("simulated before validating --reps")
+
+        monkeypatch.setattr(cli, "BatchCcrr", simulate)
+        monkeypatch.setattr(cli, "run_round", simulate)
+        assert run_cli(["simulate", "--kind", kind, "--n", "10", "--rounds", "2",
+                        "--reps", "1", "--stat", "positions"]) == 2
+
     def test_stat_s_json_is_strict_without_a_fit(self, tmp_path):
         # no round to fit: r_hat and r_hat_signed are undefined, written as null
         out = tmp_path / "s.json"
