@@ -6,12 +6,12 @@ reinsert it so that its final position among all n cards is ``slot``.  The
 deck transiently holds n-1 cards and n gaps, so a uniform slot in {1..n}
 means a uniform final position.
 
-``Deck`` keeps a plain order array plus its inverse (O(n) per operation,
-the reference implementation).  ``FastDeck`` keeps the same sequence as a
-list of bounded blocks indexed by a Fenwick tree of block sizes, giving
-rank queries, remove-at-rank and insert-at-rank in O(log n) tree steps
-plus one small-block memmove.  Both produce identical orders for identical
-operation sequences.
+``Deck`` keeps only the order list (O(n) per operation, the reference
+implementation).  ``FastDeck`` keeps the same sequence as a list of
+bounded blocks indexed by a Fenwick tree of block sizes, giving rank
+queries, remove-at-rank and insert-at-rank in O(log n) tree steps plus
+one small-block memmove.  Both produce identical orders for identical
+operation sequences, and both reject positions outside 1..n.
 
 Deck instances are not thread-safe; use one instance (and one RngStream)
 per thread.  Distinct stream ids derived from one seed are independent.
@@ -56,19 +56,15 @@ class RngStream:
 
 
 class Deck:
-    """Array-backed deck: order[p-1] is the card at position p."""
+    """List-backed deck: order[p-1] is the card at position p."""
 
-    __slots__ = ("order", "inv")
+    __slots__ = ("order",)
 
     def __init__(self, order):
         order = list(order)
-        n = len(order)
-        if sorted(order) != list(range(1, n + 1)):
+        if sorted(order) != list(range(1, len(order) + 1)):
             raise ValueError("order must be a permutation of 1..n")
         self.order = order
-        self.inv = [0] * (n + 1)  # inv[card] = position, 1-based
-        for p, c in enumerate(order, start=1):
-            self.inv[c] = p
 
     @classmethod
     def identity(cls, n: int) -> "Deck":
@@ -79,12 +75,14 @@ class Deck:
         return len(self.order)
 
     def position_of(self, card: int) -> int:
-        p = self.inv[card] if 1 <= card <= self.n else 0
-        if p == 0:
-            raise ValueError(f"card {card} not in deck")
-        return p
+        try:
+            return self.order.index(card) + 1
+        except ValueError:
+            raise ValueError(f"card {card} not in deck") from None
 
     def card_at(self, position: int) -> int:
+        if not 1 <= position <= self.n:
+            raise ValueError("position out of range")
         return self.order[position - 1]
 
     def remove_insert(self, card: int, slot: int) -> "Deck":
@@ -92,25 +90,16 @@ class Deck:
 
         All other cards keep their relative order.
         """
-        n = self.n
-        if not 1 <= slot <= n:
-            raise ValueError(f"slot {slot} out of range 1..{n}")
-        p = self.position_of(card)
-        if p == slot:
-            return self
-        self.order.pop(p - 1)
+        if not 1 <= slot <= self.n:
+            raise ValueError(f"slot {slot} out of range 1..{self.n}")
+        self.order.pop(self.position_of(card) - 1)
         self.order.insert(slot - 1, card)
-        lo, hi = (p, slot) if p < slot else (slot, p)
-        for q in range(lo, hi + 1):
-            self.inv[self.order[q - 1]] = q
         return self
 
     def swap_positions(self, i: int, j: int) -> "Deck":
         """Exchange the cards in positions i and j."""
         ci, cj = self.card_at(i), self.card_at(j)
-        if i != j:
-            self.order[i - 1], self.order[j - 1] = cj, ci
-            self.inv[ci], self.inv[cj] = j, i
+        self.order[i - 1], self.order[j - 1] = cj, ci
         return self
 
     def to_order(self) -> list:
@@ -233,17 +222,8 @@ class FastDeck:
 
     def remove_at_rank(self, position: int) -> int:
         """Remove and return the card at the given 1-based position."""
-        if not 1 <= position <= self.n:
-            raise ValueError("position out of range")
-        bi, off = self._block_for_rank(position - 1)
-        blk = self.blocks[bi]
-        card = blk.cards.pop(off)
-        del self._home[card]
-        self._tree_add(bi, -1)
-        if not blk.cards and len(self.blocks) > 1:
-            del self.blocks[bi]
-            self._renumber_from(bi)
-            self._rebuild_tree()
+        card = self.card_at(position)
+        self.remove_card(card)
         return card
 
     def remove_card(self, card: int):
@@ -293,12 +273,13 @@ class FastDeck:
 
     def swap_positions(self, i: int, j: int) -> "FastDeck":
         """Exchange the cards in positions i and j."""
-        if i == j:
-            return self
         if i > j:
             i, j = j, i
+        ci = self.card_at(i)  # checks i before any card moves
+        if i == j:
+            return self
         cj = self.remove_at_rank(j)
-        ci = self.remove_at_rank(i)
+        self.remove_card(ci)
         self.insert_at_rank(i, cj)
         self.insert_at_rank(j, ci)
         return self

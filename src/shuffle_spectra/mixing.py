@@ -528,6 +528,8 @@ def run_lower_bound_experiment(n, rounds, reps, phi, lam, seed=12345,
     The stationary reference evaluates the same statistic on uniform
     decks drawn from streams offset by ``reps``.
     """
+    if reps < 2:
+        raise ValueError("experiment needs reps >= 2 for a sample variance")
     if np.iscomplexobj(np.asarray(phi)) and np.abs(np.imag(phi)).max() > 1e-12:
         raise ValueError("experiment requires a real eigenvector")
     stat = TestStatistic(np.real(phi))
@@ -547,7 +549,7 @@ def run_lower_bound_experiment(n, rounds, reps, phi, lam, seed=12345,
         done += r
     mean_abs = np.abs(values).mean(axis=1)
     mean_signed = values.mean(axis=1)
-    var_s = values.var(axis=1, ddof=1) if reps > 1 else np.zeros(rounds + 1)
+    var_s = values.var(axis=1, ddof=1)
     var_s[0] = 0.0  # S_0 is a deterministic function of the start deck
     mean_abs[0] = abs(stat.s0())
     mean_signed[0] = stat.s0()

@@ -223,12 +223,12 @@ def _complex_pair(apply, x):
     return lam, float(np.linalg.norm(z - 2 * lam.real * y + (abs(lam) ** 2) * x))
 
 
-def second_eig_b(apply, n, tol=1e-10, maxiter=100000, apply_t=None, seed=0):
+def second_eig_b(apply, n, tol=1e-10, maxiter=100000, *, apply_t, seed=0):
     """Dominant eigenpair of B after deflating its eigenvalue-1 pair.
 
     The right eigenvector of eigenvalue 1 is all-ones (rows sum to 1); the
-    left one is the stationary vector, computed by transpose power
-    iteration when ``apply_t`` is provided and taken uniform otherwise.
+    left one is the stationary vector, computed by power iteration on
+    ``apply_t``, the apply of B's transpose.
     B is not normal, so the returned residual carries no certificate.  If
     the Rayleigh sequence settles into a period-2 oscillation (complex
     dominant pair), the estimate from a two-step companion fit is
@@ -239,11 +239,9 @@ def second_eig_b(apply, n, tol=1e-10, maxiter=100000, apply_t=None, seed=0):
     if n < 2:
         raise ValueError("second_eig_b needs n >= 2")
     ones = np.ones(n)
-    pi, it_pi, conv_pi = ones / n, 0, True
-    if apply_t is not None:
-        _, pi, it_pi, conv_pi, *_ = _power(apply_t, pi, _STATIONARY_TOL,
-                                           _STATIONARY_CAP)
-        pi = pi / pi.sum()
+    _, pi, it_pi, conv_pi, *_ = _power(apply_t, ones / n, _STATIONARY_TOL,
+                                       _STATIONARY_CAP)
+    pi = pi / pi.sum()
     c = pi @ ones
 
     def deflated(y):

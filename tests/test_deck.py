@@ -63,8 +63,6 @@ class TestBijectionInvariant:
         for card, slot in moves:
             d.remove_insert(card, slot)
             assert sorted(d.order) == list(range(1, 9))
-            for p, c in enumerate(d.order, start=1):
-                assert d.inv[c] == p
 
     @given(ops)
     @settings(max_examples=200, deadline=None)
@@ -78,18 +76,29 @@ class TestBijectionInvariant:
             for c in range(1, 9):
                 assert f.position_of(c) == d.position_of(c)
 
-    @given(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+    @given(st.lists(st.tuples(st.integers(0, 10), st.integers(0, 10), st.integers(0, 10)),
                     max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_fastdeck_swap_and_rank_ops(self, triples):
+        # positions 0 and 10 lie off the 9-card deck: both decks must raise
+        # before moving a card, so their orders still agree
         d = Deck.identity(9)
         f = FastDeck.identity(9, block_size=2)
         for i, j, slot in triples:
-            d.swap_positions(i, j)
-            f.swap_positions(i, j)
+            if 1 <= i <= 9 and 1 <= j <= 9:
+                d.swap_positions(i, j)
+                f.swap_positions(i, j)
+            else:
+                for deck in (d, f):
+                    with pytest.raises(ValueError):
+                        deck.swap_positions(i, j)
             assert f.to_order() == d.order
-            card = d.card_at(slot)
-            assert f.card_at(slot) == card
+            if 1 <= slot <= 9:
+                assert f.card_at(slot) == d.card_at(slot)
+            else:
+                for deck in (d, f):
+                    with pytest.raises(ValueError):
+                        deck.card_at(slot)
 
 
 class TestFastDeckPrimitives:

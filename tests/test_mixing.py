@@ -330,6 +330,12 @@ class TestStatisticAndExperiment:
         with pytest.raises(ValueError):
             run_lower_bound_experiment(8, 1, 10, np.ones(8) * 1j, 0.2)
 
+    def test_single_replicate_rejected(self):
+        # one replicate has no sample variance, so no round could fail the
+        # 4-standard-error test of the signed window
+        with pytest.raises(ValueError, match="reps"):
+            run_lower_bound_experiment(8, 3, 1, np.linspace(-1, 1, 8), 0.2)
+
     def test_phi_grid_mismatch(self):
         with pytest.raises(ValueError):
             run_lower_bound_experiment(8, 1, 10, np.ones(9), 0.2)

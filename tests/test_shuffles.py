@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from shuffle_spectra import Deck, RngStream, ShuffleKind, run_round
+from shuffle_spectra import Deck, FastDeck, RngStream, ShuffleKind, run_round
+
+import brute
 
 
 class FixedRng:
@@ -10,8 +12,12 @@ class FixedRng:
     def __init__(self, draws):
         self.draws = list(draws)
 
-    def slot(self, n):
-        return self.draws.pop(0)
+    def slots(self, n, size):
+        count = int(np.prod(size))
+        if count > len(self.draws):
+            raise IndexError("fewer draws left than requested")
+        taken, self.draws = self.draws[:count], self.draws[count:]
+        return np.array(taken).reshape(size)
 
 
 class TestRoundBasics:
@@ -61,6 +67,28 @@ class TestRoundBasics:
         run_round(a, ShuffleKind.CCR, rng_a)
         run_round(b, ShuffleKind.CCRR, rng_b)
         assert a.order != b.order  # differs with overwhelming probability
+
+
+class TestDrawContract:
+    @pytest.mark.parametrize(
+        "make_deck",
+        [Deck.identity, lambda n: FastDeck.identity(n, block_size=2)],
+        ids=["Deck", "FastDeck"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    @pytest.mark.parametrize("kind", list(ShuffleKind))
+    def test_round_replays_scalar_draws(self, kind, n, make_deck):
+        # a round's one vector draw equals n scalar rng.slot(n) draws in
+        # turn (2n for transpositions, read as (i, j) pairs)
+        per_step = 2 if kind is ShuffleKind.RANDOM_TRANSPOSITIONS else 1
+        deck = make_deck(n)
+        rng, scalar = RngStream(17, n), RngStream(17, n)
+        order = tuple(range(1, n + 1))
+        for _ in range(3):
+            run_round(deck, kind, rng)
+            draws = [scalar.slot(n) for _ in range(per_step * n)]
+            order = brute.literal_round(order, kind.value, draws)
+            assert tuple(deck.to_order()) == order
 
 
 class TestRunRounds:

@@ -95,7 +95,7 @@ class TestSkewNorm:
 class TestSecondEigB:
     def test_n1_rejected(self):
         with pytest.raises(ValueError):
-            second_eig_b(lambda v: v, 1)
+            second_eig_b(lambda v: v, 1, apply_t=lambda v: v)
 
     @pytest.mark.parametrize("n", [100, 150])
     def test_matches_dense_nonsymmetric_solver(self, n):
