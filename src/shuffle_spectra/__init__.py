@@ -7,8 +7,13 @@ deck sizes, and the eigenvector-statistic lower-bound experiment.
 
 __version__ = "0.1.0"
 
-from .batch import BatchCcrr, batch_round_positions, uniform_positions
-from .deck import Deck, FastDeck, RngStream
+from .batch import (
+    BatchCcrr,
+    batch_round_positions,
+    card_round_positions,
+    uniform_positions,
+)
+from .deck import Deck, FastDeck, ReplicateStreams, RngStream
 from .ideal import (
     GridKernel,
     MatrixFreeKernel,
@@ -53,8 +58,9 @@ from .spectral import (
 
 __all__ = [
     "__version__",
-    "BatchCcrr", "batch_round_positions", "uniform_positions",
-    "Deck", "FastDeck", "RngStream",
+    "BatchCcrr", "batch_round_positions", "card_round_positions",
+    "uniform_positions",
+    "Deck", "FastDeck", "ReplicateStreams", "RngStream",
     "GridKernel", "MatrixFreeKernel", "NumericError", "apply_sym",
     "build_kernel", "g", "g_inverse", "g_prime",
     "kernel_from_binary", "kernel_to_binary", "kernel_to_csv", "u0",

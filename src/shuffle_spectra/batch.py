@@ -23,7 +23,9 @@ Reverse pass.  The final deck is the pure insertion sequence "card k
 enters at rank v_k + 1 among processed cards"; walking k = n..1 and
 claiming the (v_k + 1)-th free slot of a fresh Fenwick tree yields every
 card's final position in O(n log n) per replicate, all replicates in
-lockstep.
+lockstep.  A caller that reads one card's final position needs no
+reverse pass: its rank among the processed cards moves down one for each
+later card inserted at or above it (``card_round_positions``).
 
 Both passes use one fused descent.  A tree is one flat row-major array,
 node j of replicate c at j * R + c, so each level reads its R nodes with
@@ -38,9 +40,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .deck import RngStream
+from .deck import ReplicateStreams, RngStream
 
-__all__ = ["batch_round_positions", "BatchCcrr", "uniform_positions"]
+__all__ = ["batch_round_positions", "card_round_positions", "BatchCcrr",
+           "uniform_positions"]
 
 _SENTINEL = 1 << 30  # above every prefix a descent searches for
 
@@ -85,6 +88,23 @@ class _UnitTrees:
             np.add(nxt, bit * reps, out=nxt)
 
 
+def _forward_pass(slots):
+    """Yield v_k for k = 1..n: per replicate, the processed cards above the
+    point where card k is reinserted.  The yielded int32 array is reused."""
+    reps, n = slots.shape
+    below = np.empty(reps, dtype=np.int32)
+    v = np.empty(reps, dtype=np.int32)
+    tree = _UnitTrees(n + 1, reps)
+    for k in range(1, n + 1):
+        # insert at final rank u: pass u - 1 cards and the k processed units
+        um1 = slots[:, k - 1] - 1
+        np.add(um1, k, out=below)
+        row = tree.descend(below, +1)
+        # v_k = processed cards above: u - 1, less the live skeleton above
+        np.minimum(um1, um1 + k - row, out=v)
+        yield v
+
+
 def batch_round_positions(slots):
     """Final positions after one CCRR round, per replicate.
 
@@ -96,20 +116,12 @@ def batch_round_positions(slots):
     slots = np.asarray(slots, dtype=np.int32)
     reps, n = slots.shape
     out = np.empty((reps, n), dtype=np.int32)
-    below = np.empty(reps, dtype=np.int32)
-
-    tree = _UnitTrees(n + 1, reps)
-    for k in range(1, n + 1):
-        # insert at final rank u: pass u - 1 cards and the k processed units
-        um1 = slots[:, k - 1] - 1
-        np.add(um1, k, out=below)
-        row = tree.descend(below, +1)
-        # v_k = processed cards above: u - 1, less the live skeleton above
-        np.minimum(um1, um1 + k - row, out=out[:, k - 1])
-    del tree
+    for k, v in enumerate(_forward_pass(slots)):
+        out[:, k] = v
 
     # reverse pass: card k claims the (v_k + 1)-th free final slot; its
     # final position overwrites v_k in place
+    below = np.empty(reps, dtype=np.int32)
     tree = _UnitTrees(n, reps)
     for k in range(n, 0, -1):
         below[:] = out[:, k - 1]
@@ -117,12 +129,33 @@ def batch_round_positions(slots):
     return out
 
 
+def card_round_positions(slots, k):
+    """Final position after one CCRR round of the card processed k-th.
+
+    Equals batch_round_positions(slots)[:, k - 1] from the forward pass
+    alone: card k enters at rank v_k + 1 among the processed cards, and
+    each later card j, entering at rank v_j + 1, pushes it down one when
+    v_j < its rank.  Returns an int32 array with one entry per replicate.
+    """
+    slots = np.asarray(slots, dtype=np.int32)
+    if not 1 <= k <= slots.shape[1]:
+        raise ValueError(f"card {k} outside 1..{slots.shape[1]}")
+    rank = np.empty(len(slots), dtype=np.int32)
+    for j, v in enumerate(_forward_pass(slots), start=1):
+        if j == k:
+            np.add(v, 1, out=rank)
+        elif j > k:
+            rank += v < rank
+    return rank
+
+
 class BatchCcrr:
     """R replicate decks evolved round by round under CCRR.
 
-    Replicate r draws its slots from RngStream(seed, stream_base + r), n
-    draws per round, so any single replicate reproduces exactly the
-    sequential Deck simulation driven by the same stream.
+    Replicate r draws its slots as RngStream(seed, stream_base + r) would
+    (through one ReplicateStreams), n draws per round, so any single
+    replicate reproduces exactly the sequential Deck simulation driven by
+    that stream.
     """
 
     def __init__(self, n, reps, seed, stream_base=1):
@@ -130,15 +163,12 @@ class BatchCcrr:
         self.reps = reps
         self.seed = seed
         self.stream_base = stream_base
-        self._gens = [RngStream(seed, stream_base + r) for r in range(reps)]
+        self._streams = ReplicateStreams(seed, stream_base, reps)
         self.order = np.tile(np.arange(1, n + 1, dtype=np.int32), (reps, 1))
         self.rounds_done = 0
 
     def draw_slots(self):
-        slots = np.empty((self.reps, self.n), dtype=np.int32)
-        for r, gen in enumerate(self._gens):
-            slots[r] = gen.slots(self.n, self.n)
-        return slots
+        return self._streams.slots(self.n, self.n)
 
     def run_round(self, slots=None):
         """Advance every replicate one round; returns the slots used."""

@@ -86,6 +86,17 @@ def _write_json(path, payload):
             fh.close()
 
 
+def _seed(text):
+    """--seed: an integer in 0..2^64-1, the range of a Philox key word."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"{seed} outside 0..2^64-1")
+    return seed
+
+
 def _progress(msg):
     print(msg, file=sys.stderr, flush=True)
 
@@ -311,7 +322,7 @@ def build_parser():
 
     def common(p, formats=("csv", "json"), seed="base RNG seed (default %(default)s)"):
         if seed:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=seed)
+            p.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help=seed)
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
         p.add_argument("--format", choices=list(formats), default=formats[0])
 

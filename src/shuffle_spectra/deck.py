@@ -15,13 +15,18 @@ operation sequences, and both reject positions outside 1..n.
 
 Deck instances are not thread-safe; use one instance (and one RngStream)
 per thread.  Distinct stream ids derived from one seed are independent.
+``ReplicateStreams`` gives many streams' slot draws at once, equal to
+theirs, without building a generator per stream.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Deck", "FastDeck", "RngStream"]
+__all__ = ["Deck", "FastDeck", "ReplicateStreams", "RngStream"]
+
+_WORD = 1 << 32  # a bounded draw reads 32-bit words
+_CHUNK_WORDS = 1 << 18  # words bounded per numpy pass (2 MB of uint64)
 
 
 class RngStream:
@@ -53,6 +58,89 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream={self.stream})"
+
+
+class ReplicateStreams:
+    """The slot draws of RngStream(seed, stream_base + r), r < reps, batched.
+
+    Row r of ``slots(n, count)`` is what RngStream(seed, stream_base +
+    r).slots(n, count) returns at the same point of its sequence, call
+    after call.  Numpy's Philox, keyed by (seed, stream), emits 64-bit
+    words in blocks of four, block b at counter b + 1.  A draw from
+    {1..n} reads the next 32-bit word x, low half of a 64-bit word first,
+    and keeps Lemire's rule: it gives 1 + (x n >> 32) unless x n mod 2^32
+    < 2^32 mod n, which rejects x.  So a stream's state is the number of
+    32-bit words it has read.  One reused Philox is reset to each
+    stream's block and read raw, and the bound runs over many rows in one
+    numpy pass; only a row that met a rejection is bounded on its own.
+    """
+
+    def __init__(self, seed, stream_base, reps):
+        self.seed, self.stream_base, self.reps = int(seed), int(stream_base), int(reps)
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed {self.seed} outside 0..2^64-1")
+        if self.reps < 0:
+            raise ValueError("reps must be >= 0")
+        if not 0 <= self.stream_base < 2**64 or self.stream_base + self.reps > 2**64:
+            raise ValueError("stream ids must lie in 0..2^64-1")
+        self._philox = np.random.Philox(key=np.array([self.seed, 0], dtype=np.uint64))
+        self._counter, self._key = [0, 0, 0, 0], [self.seed, 0]
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._counter, "key": self._key},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        self._used = np.zeros(self.reps, dtype=np.int64)  # 32-bit words read
+
+    def _words(self, r, start, out):
+        """Stream r's 32-bit words start, start + 1, ... into ``out``."""
+        block, skip = divmod(start, 8)
+        self._key[1] = self.stream_base + r
+        self._counter[0] = block  # the next block is counter block + 1
+        self._philox.state = self._state
+        raw = self._philox.random_raw((skip + out.size + 1) // 2)
+        out[:] = raw.astype("<u8", copy=False).view("<u4")[skip : skip + out.size]
+
+    def _bounded_row(self, r, start, n, count, threshold):
+        """Row r's ``count`` draws from word ``start`` on, past every rejected
+        word; records the words read."""
+        draws = []
+        words = np.empty(count, dtype=np.uint64)
+        while len(draws) < count:
+            w = words[: count - len(draws)]  # each word gives at most one draw
+            self._words(r, start, w)
+            start += w.size
+            w *= n
+            keep = (w & 0xFFFFFFFF) >= threshold
+            draws.extend((w[keep] >> 32) + 1)
+        self._used[r] = start
+        return draws
+
+    def slots(self, n: int, count: int) -> np.ndarray:
+        """(reps, count) uniform draws from {1..n}; int32 while n < 2^31."""
+        if not 1 <= n <= _WORD:
+            raise ValueError(f"n {n} outside 1..2^32")
+        out = np.ones((self.reps, count), dtype=np.int32 if n < 2**31 else np.int64)
+        if n == 1 or count == 0:
+            return out  # numpy draws these without reading a word
+        threshold = _WORD % n
+        rows = max(1, min(self.reps, _CHUNK_WORDS // count))
+        words = np.empty((rows, count), dtype=np.uint64)
+        for lo in range(0, self.reps, rows):
+            hi = min(lo + rows, self.reps)
+            w = words[: hi - lo]
+            starts = self._used[lo:hi].tolist()
+            for i, start in enumerate(starts):
+                self._words(lo + i, start, w[i])
+            self._used[lo:hi] += count
+            np.multiply(w, n, out=w)
+            rejected = np.flatnonzero(((w & 0xFFFFFFFF) < threshold).any(axis=1))
+            np.right_shift(w, 32, out=w)
+            np.add(w, 1, out=w)
+            out[lo:hi] = w
+            for i in rejected:
+                out[lo + i] = self._bounded_row(lo + i, starts[i], n, count, threshold)
+        return out
 
 
 class Deck:

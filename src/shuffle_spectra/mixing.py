@@ -36,8 +36,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .batch import BatchCcrr, batch_round_positions, uniform_positions
-from .deck import RngStream
+from .batch import BatchCcrr, card_round_positions, uniform_positions
+from .batch import batch_round_positions  # noqa: F401 (perfbench wraps this name)
+from .deck import ReplicateStreams
 from .ideal import g
 from .shuffles import ShuffleKind
 
@@ -366,17 +367,16 @@ def empirical_single_card(n, a, reps, seed=12345, stream_base=1, buckets=50,
     k0 = round(a * n)
     if not 1 <= k0 <= n or abs(k0 / n - a) > 1e-12:
         raise ValueError("a must be a grid point i/n in (0, 1]")
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
     z_all = np.empty(reps)
     u_all = np.empty(reps)
     row_hist = np.zeros(n, dtype=np.int64)
     done = 0
     while done < reps:
         r = min(chunk, reps - done)
-        slots = np.empty((r, n), dtype=np.int32)
-        for i in range(r):
-            slots[i] = RngStream(seed, stream_base + done + i).slots(n, n)
-        fp = batch_round_positions(slots)
-        z = fp[:, k0 - 1]
+        slots = ReplicateStreams(seed, stream_base + done, r).slots(n, n)
+        z = card_round_positions(slots, k0)
         z_all[done : done + r] = z / n
         u_all[done : done + r] = slots[:, k0 - 1] / n
         row_hist += np.bincount(z - 1, minlength=n)
@@ -530,6 +530,8 @@ def run_lower_bound_experiment(n, rounds, reps, phi, lam, seed=12345,
     """
     if reps < 2:
         raise ValueError("experiment needs reps >= 2 for a sample variance")
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
     if np.iscomplexobj(np.asarray(phi)) and np.abs(np.imag(phi)).max() > 1e-12:
         raise ValueError("experiment requires a real eigenvector")
     stat = TestStatistic(np.real(phi))

@@ -459,8 +459,7 @@ def test_support_empirical_row_converges_at_n6():
 
 def _landing_spread_p90(n, reps):
     """90th percentile of |Z - g(a, U)| over one tracked round per replicate."""
-    from shuffle_spectra import g
-    from shuffle_spectra.batch import batch_round_positions
+    from shuffle_spectra import ReplicateStreams, card_round_positions, g
 
     k0 = n // 2
     spreads = []
@@ -468,11 +467,8 @@ def _landing_spread_p90(n, reps):
     chunk = min(reps, max(1, 20_000_000 // n))
     while done < reps:
         r = min(chunk, reps - done)
-        slots = np.empty((r, n), dtype=np.int32)
-        for i in range(r):
-            slots[i] = RngStream(SEED, 1 + done + i).slots(n, n)
-        fp = batch_round_positions(slots)
-        z = fp[:, k0 - 1] / n
+        slots = ReplicateStreams(SEED, 1 + done, r).slots(n, n)
+        z = card_round_positions(slots, k0) / n
         u = slots[:, k0 - 1] / n
         spreads.append(np.abs(z - g(0.5, u)))
         done += r

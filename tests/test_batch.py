@@ -9,6 +9,7 @@ from shuffle_spectra import (
     RngStream,
     ShuffleKind,
     batch_round_positions,
+    card_round_positions,
     run_round,
     uniform_positions,
 )
@@ -64,6 +65,23 @@ class TestBatchRoundDescentEdges:
             final = literal_round(tuple(range(1, n + 1)), "ccrr", draws.tolist())
             assert row.tolist() == [final.index(k) + 1 for k in range(1, n + 1)]
 
+    @pytest.mark.parametrize("n", _edge_sizes())
+    def test_one_card_pass_matches_every_column(self, n):
+        rng = np.random.default_rng(1000 + n)
+        slots = np.vstack([rng.integers(1, n + 1, size=(5, n)),
+                           np.ones((1, n), dtype=np.int64),
+                           np.full((1, n), n)])
+        fp = batch_round_positions(slots)
+        for k in range(1, n + 1):
+            got = card_round_positions(slots, k)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, fp[:, k - 1])
+
+    @pytest.mark.parametrize("k", [0, 6])
+    def test_one_card_pass_rejects_a_card_outside_the_deck(self, k):
+        with pytest.raises(ValueError):
+            card_round_positions(np.ones((2, 5), dtype=np.int32), k)
+
     def test_peak_memory_below_four_position_arrays(self):
         n, reps = 1000, 100
         slots = np.random.default_rng(3).integers(1, n + 1, size=(reps, n),
@@ -80,17 +98,19 @@ class TestBatchRoundDescentEdges:
 class TestBatchCcrrEquivalence:
     def test_replicates_match_sequential_decks(self):
         # replicate r of the batch is bit-for-bit the Deck simulation driven
-        # by RngStream(seed, stream_base + r), n draws per round
-        n, reps, rounds, seed = 30, 5, 3, 99
-        sim = BatchCcrr(n, reps, seed, stream_base=1)
-        decks = [Deck.identity(n) for _ in range(reps)]
-        rngs = [RngStream(seed, 1 + r) for r in range(reps)]
-        for _ in range(rounds):
-            sim.run_round()
-            for d, rng in zip(decks, rngs):
-                run_round(d, ShuffleKind.CCRR, rng)
-        for r in range(reps):
-            assert sim.order[r].tolist() == decks[r].order
+        # by RngStream(seed, stream_base + r), n draws per round; an odd n
+        # splits a 64-bit word across rounds
+        reps, rounds, seed = 5, 3, 99
+        for n in (30, 31):
+            sim = BatchCcrr(n, reps, seed, stream_base=1)
+            decks = [Deck.identity(n) for _ in range(reps)]
+            rngs = [RngStream(seed, 1 + r) for r in range(reps)]
+            for _ in range(rounds):
+                sim.run_round()
+                for d, rng in zip(decks, rngs):
+                    run_round(d, ShuffleKind.CCRR, rng)
+            for r in range(reps):
+                assert sim.order[r].tolist() == decks[r].order
 
     def test_positions_invert_order(self):
         sim = BatchCcrr(12, 8, 5)

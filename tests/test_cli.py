@@ -318,3 +318,31 @@ class TestHelp:
                                       ["gcurve", "--b", "0.5"]])
     def test_seed_only_where_it_is_used(self, args):
         assert run_cli([*args, "--seed", "1"]) == 2
+
+
+class TestSeedRange:
+    # a seed is one 64-bit word of the Philox key
+    @pytest.mark.parametrize("args", [
+        ["singlecard", "--n", "10", "--seed", "-1"],
+        ["simulate", "--n", "10", "--seed", "-5"],
+        ["simulate", "--stat", "S", "--n", "2000", "--seed", "-1"],
+        ["singlecard", "--n", "10", "--seed", str(2**64)],
+        ["eigen", "--n", "50", "--operator", "S", "--seed", "-1"],
+        ["exact", "--n", "3", "--seed", "1.5"],
+    ])
+    def test_usage_error_before_any_work(self, args, monkeypatch, capsys):
+        def work(*a, **k):
+            raise AssertionError("worked before validating --seed")
+
+        for name in ("empirical_single_card", "BatchCcrr", "run_round",
+                     "second_eig_b", "second_eig_sym", "build_kernel",
+                     "exact_round_push"):
+            monkeypatch.setattr(cli, name, work)
+        assert run_cli(args) == 2
+        assert "argument --seed" in capsys.readouterr().err
+
+    def test_largest_seed_runs(self, tmp_path):
+        out = tmp_path / "sc.csv"
+        assert run_cli(["singlecard", "--n", "10", "--reps", "5", "--seed",
+                        str(2**64 - 1), "--out", str(out)]) == 0
+        assert json.loads(read_csv(out)[0][1][len("# config "):])["seed"] == 2**64 - 1

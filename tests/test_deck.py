@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from shuffle_spectra import (
     Deck,
     FastDeck,
+    ReplicateStreams,
     RngStream,
 )
 
@@ -181,3 +182,70 @@ class TestRngStream:
     def test_permutation(self):
         p = RngStream(5, 5).permutation(10)
         assert sorted(p.tolist()) == list(range(1, 11))
+
+
+def _per_stream_draws(seed, base, reps, n, counts):
+    """The oracle: one RngStream per replicate, one slots call per count."""
+    rngs = [RngStream(seed, base + r) for r in range(reps)]
+    return [np.array([g.slots(n, c) for g in rngs], dtype=np.int64).reshape(reps, c)
+            for c in counts]
+
+
+class TestReplicateStreams:
+    # rows with odd counts leave a high half-word for the next call; n = 1
+    # reads no word; n = 2^32 - 1 rejects one word in 2^32
+    @pytest.mark.parametrize("n, counts", [
+        (1, [3, 4]),
+        (6, [6, 5, 6, 6]),
+        (7, [7, 7, 7]),
+        (1000, [1000, 999, 1000]),
+        (2001, [2001, 2001]),  # 131 rows per numpy pass: three passes
+        (2**32 - 1, [5, 6]),
+        (2**32, [3, 3]),
+    ])
+    def test_matches_rng_stream_round_after_round(self, n, counts):
+        reps = 300 if n == 2001 else 25
+        streams = ReplicateStreams(11, 3, reps)
+        for got, want in zip((streams.slots(n, c) for c in counts),
+                             _per_stream_draws(11, 3, reps, n, counts)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n, counts", [
+        (3 * 2**29, [6, 5]),  # a quarter of all words rejected
+        (3 * 2**30, [5, 9, 5]),  # a quarter again, and draws need int64
+        (2**31 + 3, [7, 7, 7]),  # about half rejected
+    ])
+    def test_rejection_heavy_ranges(self, n, counts):
+        streams = ReplicateStreams(5, 40, 30)
+        for got, want in zip((streams.slots(n, c) for c in counts),
+                             _per_stream_draws(5, 40, 30, n, counts)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("base", [0, 1, 977, 2**64 - 4])
+    def test_stream_base_offsets(self, base):
+        got = ReplicateStreams(2, base, 4).slots(50, 50)
+        (want,) = _per_stream_draws(2, base, 4, 50, [50])
+        assert np.array_equal(got, want)
+
+    def test_zero_and_one_replicate(self):
+        assert ReplicateStreams(1, 1, 0).slots(6, 6).shape == (0, 6)
+        one, oracle = ReplicateStreams(1, 9, 1), RngStream(1, 9)
+        for count in (3, 4):
+            assert np.array_equal(one.slots(6, count)[0], oracle.slots(6, count))
+
+    def test_int32_below_two_to_the_31(self):
+        assert ReplicateStreams(1, 1, 2).slots(2**31 - 1, 3).dtype == np.int32
+
+    @pytest.mark.parametrize("seed, base, reps", [
+        (-1, 1, 3), (2**64, 1, 3), (1, -1, 3), (1, 2**64 - 2, 3), (1, 2**64, 0),
+        (1, 1, -1),
+    ])
+    def test_out_of_range_ids_rejected(self, seed, base, reps):
+        with pytest.raises(ValueError):
+            ReplicateStreams(seed, base, reps)
+
+    @pytest.mark.parametrize("n", [0, 2**32 + 1])
+    def test_n_outside_the_32_bit_bound_rejected(self, n):
+        with pytest.raises(ValueError):
+            ReplicateStreams(1, 1, 2).slots(n, 3)

@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
 import math
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from shuffle_spectra import (
     CapabilityError,
     PermDistribution,
+    RngStream,
     build_kernel,
     check_conditional_bands,
     empirical_single_card,
@@ -232,7 +236,53 @@ class TestExactSingleCardKernel:
         assert all(a[i][j] == b[i][j] for i in range(3) for j in range(3))
 
 
+class _PerReplicateStreams:
+    """Draws as the Monte Carlo layer used to make them: one RngStream per
+    replicate."""
+
+    def __init__(self, seed, stream_base, reps):
+        self.rngs = [RngStream(seed, stream_base + r) for r in range(reps)]
+
+    def slots(self, n, count):
+        return np.array([g.slots(n, count) for g in self.rngs], dtype=np.int32)
+
+
+def _full_round_column(slots, k):
+    return batch_round_positions(slots)[:, k - 1]
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail, rather than hang, a call that does not return in time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestEmpiricalSingleCard:
+    @pytest.mark.parametrize("n, reps, chunk", [(6, 20_000, 7_000),
+                                                (1000, 1500, 600)])
+    def test_equals_per_replicate_streams_and_the_full_round(
+            self, monkeypatch, n, reps, chunk):
+        got = empirical_single_card(n, 0.5, reps, seed=13, chunk=chunk)
+        monkeypatch.setattr(mixing, "ReplicateStreams", _PerReplicateStreams)
+        monkeypatch.setattr(mixing, "card_round_positions", _full_round_column)
+        want = empirical_single_card(n, 0.5, reps, seed=13, chunk=chunk)
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert np.array_equal(a, b), field.name
+
+    def test_chunk_below_one_rejected(self):
+        with _deadline(5), pytest.raises(ValueError, match="chunk"):
+            empirical_single_card(10, 0.5, 5, chunk=0)
+
     def test_row_converges_to_exact(self):
         n = 6
         exact_row = np.asarray(exact_single_card_kernel(n, "ccrr")[2], dtype=float)
@@ -335,6 +385,11 @@ class TestStatisticAndExperiment:
         # 4-standard-error test of the signed window
         with pytest.raises(ValueError, match="reps"):
             run_lower_bound_experiment(8, 3, 1, np.linspace(-1, 1, 8), 0.2)
+
+    def test_chunk_below_one_rejected(self):
+        with _deadline(5), pytest.raises(ValueError, match="chunk"):
+            run_lower_bound_experiment(8, 1, 10, np.linspace(-1, 1, 8), 0.2,
+                                       chunk=0)
 
     def test_phi_grid_mismatch(self):
         with pytest.raises(ValueError):
