@@ -45,6 +45,11 @@ from .deck import ReplicateStreams, RngStream
 __all__ = ["batch_round_positions", "card_round_positions", "BatchCcrr",
            "uniform_positions"]
 
+# Replicate rows per batched pass.  On 2 CPUs, 2048 to 16,384 rows ran the
+# one-card pass at n = 1000 equally fast, and 8192 ran full rounds at
+# n = 2000 10% faster than 4096; but a pass's trees and slots grow as
+# rows x n, and at n = 10^4 one of 4096 rows already peaks near 450 MB.
+CHUNK_ROWS = 4096
 _SENTINEL = 1 << 30  # above every prefix a descent searches for
 
 
@@ -155,7 +160,8 @@ class BatchCcrr:
     Replicate r draws its slots as RngStream(seed, stream_base + r) would
     (through one ReplicateStreams), n draws per round, so any single
     replicate reproduces exactly the sequential Deck simulation driven by
-    that stream.
+    that stream.  The state is every card's position: a CCRR round moves
+    cards by their start-of-round positions alone.
     """
 
     def __init__(self, n, reps, seed, stream_base=1):
@@ -164,33 +170,23 @@ class BatchCcrr:
         self.seed = seed
         self.stream_base = stream_base
         self._streams = ReplicateStreams(seed, stream_base, reps)
-        self.order = np.tile(np.arange(1, n + 1, dtype=np.int32), (reps, 1))
-        self.rounds_done = 0
+        self._pos = np.tile(np.arange(1, n + 1, dtype=np.int32), (reps, 1))
 
     def draw_slots(self):
         return self._streams.slots(self.n, self.n)
 
-    def run_round(self, slots=None):
-        """Advance every replicate one round; returns the slots used."""
-        if slots is None:
-            slots = self.draw_slots()
-        fp = batch_round_positions(slots)
-        new_order = np.empty_like(self.order)
-        np.put_along_axis(new_order, fp - 1, self.order, axis=1)
-        self.order = new_order
-        self.rounds_done += 1
-        return slots
+    def run_round(self):
+        """Advance every replicate one round."""
+        fp = batch_round_positions(self.draw_slots())
+        # a new array: positions() handed out earlier stay as they were
+        self._pos = np.take_along_axis(fp, self._pos - 1, axis=1)
 
     def positions(self):
-        """pos[r, c-1] = current position of card c in replicate r."""
-        pos = np.empty_like(self.order)
-        np.put_along_axis(
-            pos,
-            self.order - 1,
-            np.broadcast_to(np.arange(1, self.n + 1, dtype=np.int32), self.order.shape),
-            axis=1,
-        )
-        return pos
+        """pos[r, c-1] = current position of card c in replicate r.
+
+        The caller must not write into it.
+        """
+        return self._pos
 
 
 def uniform_positions(n, reps, seed, stream_base=1):

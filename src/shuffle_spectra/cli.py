@@ -174,10 +174,10 @@ def cmd_kernel(args, parser):
 def cmd_eigen(args, parser):
     if args.n < 1:
         parser.error("--n must be >= 1")
-    if args.operator == "B" and args.n < 2:
-        parser.error("operator B needs --n >= 2")
-    if args.maxiter < 1 or not args.tol > 0.0:
-        parser.error("need --maxiter >= 1 and --tol > 0")
+    if args.operator in ("S", "B") and args.n < 2:
+        parser.error(f"operator {args.operator} needs --n >= 2")
+    if args.maxiter < 1 or not 0.0 < args.tol < math.inf:
+        parser.error("need --maxiter >= 1 and a finite --tol > 0")
     _progress(f"building kernel n={args.n}")
     kernel = build_kernel(args.n)
     _progress(f"running {args.operator} solver")
@@ -187,7 +187,7 @@ def cmd_eigen(args, parser):
     elif args.operator == "D":
         est = skew_norm(kernel.skew_matvec, args.n, **solve)
     else:
-        est = second_eig_b(kernel.matvec, args.n, apply_t=kernel.rmatvec, **solve)
+        est = second_eig_b(kernel.matvec, args.n, **solve)
     payload = json.loads(est.to_json())
     payload["config"] = {"cmd": "eigen", "n": args.n, "operator": args.operator,
                          **solve}
@@ -215,18 +215,13 @@ def cmd_simulate(args, parser):
     }
     if args.stat == "S":
         _progress(f"solving for the eigenvector statistic at n={args.n}")
-        op = MatrixFreeKernel(args.n)
-        est = second_eig_b(op.matvec, args.n, apply_t=op.rmatvec)
-        phi = est.vector
-        lam = est.value
-        if abs(np.imag(lam)) > 1e-12 or not est.converged:
-            _progress("warning: dominant pair flagged complex; "
-                      "falling back to the symmetric-part eigenvector")
-            est = second_eig_sym(op.sym_matvec, args.n)
-            phi, lam = est.vector, est.value
+        est = second_eig_b(MatrixFreeKernel(args.n).matvec, args.n)
+        if not est.converged:  # complex or capped: no real eigenvector to use
+            raise NumericError(f"--stat S needs a real dominant pair of B; "
+                               f"at n={args.n}: {est.note}")
         _progress(f"simulating {args.reps} replicates x {args.rounds} rounds")
         traj = run_lower_bound_experiment(
-            args.n, args.rounds, args.reps, np.real(phi), abs(lam), seed=args.seed,
+            args.n, args.rounds, args.reps, est.vector, abs(est.value), seed=args.seed,
         )
         if args.format == "json":
             payload = traj.summary()

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .batch import BatchCcrr, card_round_positions, uniform_positions
+from .batch import CHUNK_ROWS, BatchCcrr, card_round_positions, uniform_positions
 from .batch import batch_round_positions  # noqa: F401 (perfbench wraps this name)
 from .deck import ReplicateStreams
 from .ideal import g
@@ -357,8 +357,7 @@ class SingleCardStats:
         return self.row_hist / self.reps
 
 
-def empirical_single_card(n, a, reps, seed=12345, stream_base=1, buckets=50,
-                          chunk=25_000):
+def empirical_single_card(n, a, reps, seed=12345, stream_base=1, buckets=50):
     """Simulate the tracked card over one CCRR round, reps times.
 
     Returns SingleCardStats with per-bucket conditional moments of Z given
@@ -367,20 +366,16 @@ def empirical_single_card(n, a, reps, seed=12345, stream_base=1, buckets=50,
     k0 = round(a * n)
     if not 1 <= k0 <= n or abs(k0 / n - a) > 1e-12:
         raise ValueError("a must be a grid point i/n in (0, 1]")
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
     z_all = np.empty(reps)
     u_all = np.empty(reps)
     row_hist = np.zeros(n, dtype=np.int64)
-    done = 0
-    while done < reps:
-        r = min(chunk, reps - done)
+    for done in range(0, reps, CHUNK_ROWS):
+        r = min(CHUNK_ROWS, reps - done)
         slots = ReplicateStreams(seed, stream_base + done, r).slots(n, n)
         z = card_round_positions(slots, k0)
         z_all[done : done + r] = z / n
         u_all[done : done + r] = slots[:, k0 - 1] / n
         row_hist += np.bincount(z - 1, minlength=n)
-        done += r
     edges = np.arange(buckets + 1) / buckets
     idx = np.ceil(u_all * buckets).astype(int) - 1
     counts = np.zeros(buckets, dtype=np.int64)
@@ -516,11 +511,11 @@ class StatTrajectory:
 
 
 def run_lower_bound_experiment(n, rounds, reps, phi, lam, seed=12345,
-                               stream_base=1, chunk=4000, fit_window=(1, 5)):
+                               stream_base=1):
     """Replicated CCRR runs tracking the test statistic's decay.
 
     Records E|S_t| and Var(S_t) per round; r_hat, the geometric-mean
-    ratio of E|S_t| over ``fit_window``, which estimates |lam| only while
+    ratio of E|S_t| over rounds 1..5, which estimates |lam| only while
     |lam|^t S_0 >> sd(S_inf); r_hat_signed, the decay-rate estimate,
     fitted on the signed mean E[S_t] = lam^t S_0 over the rounds where it
     stays above 4 standard errors; tau = floor(log n / 9 log(1/|lam|))
@@ -530,8 +525,6 @@ def run_lower_bound_experiment(n, rounds, reps, phi, lam, seed=12345,
     """
     if reps < 2:
         raise ValueError("experiment needs reps >= 2 for a sample variance")
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
     if np.iscomplexobj(np.asarray(phi)) and np.abs(np.imag(phi)).max() > 1e-12:
         raise ValueError("experiment requires a real eigenvector")
     stat = TestStatistic(np.real(phi))
@@ -540,15 +533,13 @@ def run_lower_bound_experiment(n, rounds, reps, phi, lam, seed=12345,
     lam = abs(complex(lam))
 
     values = np.empty((rounds + 1, reps))
-    done = 0
-    while done < reps:
-        r = min(chunk, reps - done)
+    for done in range(0, reps, CHUNK_ROWS):
+        r = min(CHUNK_ROWS, reps - done)
         sim = BatchCcrr(n, r, seed, stream_base + done)
         values[0, done : done + r] = stat.s0()
         for t in range(1, rounds + 1):
             sim.run_round()
             values[t, done : done + r] = stat.from_positions(sim.positions())
-        done += r
     mean_abs = np.abs(values).mean(axis=1)
     mean_signed = values.mean(axis=1)
     var_s = values.var(axis=1, ddof=1)
@@ -561,8 +552,7 @@ def run_lower_bound_experiment(n, rounds, reps, phi, lam, seed=12345,
     mean_abs_inf = float(np.abs(s_inf).mean())
     var_inf = float(s_inf.var(ddof=1))
 
-    lo, hi = fit_window
-    hi = min(hi, rounds)
+    lo, hi = 1, min(5, rounds)
     if hi >= lo:
         r_hat = float((mean_abs[hi] / mean_abs[lo - 1]) ** (1.0 / (hi - lo + 1)))
     else:

@@ -68,10 +68,6 @@ class EigenEstimate:
 
 
 _PROBE_EVERY = 50  # a quasi-periodic Rayleigh sequence never builds a streak
-# Deflating with any pi (pi @ ones != 0) keeps B's other eigenvalues, but the
-# deflated eigenvector is B's own only for the exact stationary pi.
-_STATIONARY_TOL = 1e-15
-_STATIONARY_CAP = 5000
 
 
 def _power(matvec, start, tol, maxiter, stall=None, streak_needed=5):
@@ -83,6 +79,8 @@ def _power(matvec, start, tol, maxiter, stall=None, streak_needed=5):
     and every _PROBE_EVERY steps: a result other than None ends the run and
     comes back as ``stop``; a settled streak it declines starts over.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be finite and > 0")
     v = np.asarray(start, dtype=float)
     nv = np.linalg.norm(v)
     if nv == 0.0:
@@ -128,8 +126,8 @@ def second_eig_sym(apply, n, tol=1e-10, maxiter=100000, seed=0):
     and iterate on the orthogonal complement with re-orthogonalization
     every step.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < 2:
+        raise ValueError("second_eig_sym needs n >= 2")
     l1, v1, it1, conv1, *_ = _power(apply, np.ones(n), tol, maxiter)
 
     def deflated(y):
@@ -223,29 +221,24 @@ def _complex_pair(apply, x):
     return lam, float(np.linalg.norm(z - 2 * lam.real * y + (abs(lam) ** 2) * x))
 
 
-def second_eig_b(apply, n, tol=1e-10, maxiter=100000, *, apply_t, seed=0):
+def second_eig_b(apply, n, tol=1e-10, maxiter=100000, *, seed=0):
     """Dominant eigenpair of B after deflating its eigenvalue-1 pair.
 
-    The right eigenvector of eigenvalue 1 is all-ones (rows sum to 1); the
-    left one is the stationary vector, computed by power iteration on
-    ``apply_t``, the apply of B's transpose.
-    B is not normal, so the returned residual carries no certificate.  If
-    the Rayleigh sequence settles into a period-2 oscillation (complex
-    dominant pair), the estimate from a two-step companion fit is
-    returned flagged as not converged.  Iterations count both power
-    iterations; a stationary solve that reaches its cap leaves the
-    estimate flagged as not converged, with a note.
+    Every row of B sums to 1, so B 1 = 1, and B'y = B y - mean(y) 1
+    (Wielandt deflation with the uniform vector) has B's eigenvalues with 0
+    in place of 1.  Power iteration runs on B'; adding c 1 to its iterate
+    x' gives B's own eigenvector, with c = mean(x') / (rho - 1) for a real
+    rho.  B is not normal, so the returned residual ||B x - rho x|| carries
+    no certificate.  If the Rayleigh sequence settles into a period-2
+    oscillation (complex dominant pair), the estimate from a two-step
+    companion fit is returned flagged as not converged, with the residual
+    of that fit and a real vector in B's invariant plane.
     """
     if n < 2:
         raise ValueError("second_eig_b needs n >= 2")
-    ones = np.ones(n)
-    _, pi, it_pi, conv_pi, *_ = _power(apply_t, ones / n, _STATIONARY_TOL,
-                                       _STATIONARY_CAP)
-    pi = pi / pi.sum()
-    c = pi @ ones
 
     def deflated(y):
-        return apply(y) - ones * ((pi @ y) / c)
+        return apply(y) - y.mean()
 
     def stall(v, rho, settled):
         if settled:
@@ -262,14 +255,21 @@ def second_eig_b(apply, n, tol=1e-10, maxiter=100000, *, apply_t, seed=0):
     start = np.random.default_rng(seed).standard_normal(n)
     rho, v, it, conv, history, stop = _power(deflated, start, tol, maxiter, stall)
     if stop is None:  # annihilated the iterate, or reached maxiter
-        res = float(np.linalg.norm(deflated(v) - rho * v))
-        stop = (complex(rho), res, "" if conv else "maxiter exceeded")
+        stop = (complex(rho), None, "" if conv else "maxiter exceeded")
     value, res, note = stop
-    if not conv_pi:
-        note = "; ".join(filter(None, (note, "stationary vector: iteration cap reached")))
+    if value.imag:
+        # v lies in the invariant plane of B' for value and its conjugate;
+        # v + c 1 lies in B's when (B - value)(B - conj(value)) (v + c 1) = 0
+        c = (2.0 * value.real - 1.0) * v.mean() - deflated(v).mean()
+        c /= abs(1.0 - value) ** 2
+    else:
+        c = v.mean() / (value.real - 1.0)
+    x = v + c
+    x /= np.linalg.norm(x)
+    if not value.imag:  # a complex pair keeps its two-step fit's residual
+        res = float(np.linalg.norm(apply(x) - value.real * x))
     return EigenEstimate(  # every note flags an estimate that did not converge
-        value, v, res, "B", n, it_pi + it, not note, note=note,
-        rayleigh_history=history,
+        value, x, res, "B", n, it, not note, note=note, rayleigh_history=history,
     )
 
 

@@ -73,21 +73,19 @@ def est_d_1e4(kernel_1e4):
 
 @pytest.fixture(scope="session")
 def est_b_1e3(kernel_1e3):
-    return second_eig_b(kernel_1e3.matvec, 1_000, tol=1e-11,
-                        apply_t=kernel_1e3.rmatvec)
+    return second_eig_b(kernel_1e3.matvec, 1_000, tol=1e-11)
 
 
 @pytest.fixture(scope="session")
 def est_b_1e4(kernel_1e4):
-    return second_eig_b(kernel_1e4.matvec, 10_000, tol=1e-11,
-                        apply_t=kernel_1e4.rmatvec)
+    return second_eig_b(kernel_1e4.matvec, 10_000, tol=1e-11)
 
 
 @pytest.fixture(scope="session")
 def experiment_2000():
     n = 2000
     kernel = build_kernel(n)
-    est = second_eig_b(kernel.matvec, n, tol=1e-12, apply_t=kernel.rmatvec)
+    est = second_eig_b(kernel.matvec, n, tol=1e-12)
     assert est.converged and abs(est.value.imag) < 1e-10
     phi = np.real(est.vector)
     lam = abs(est.value)
@@ -460,18 +458,16 @@ def test_support_empirical_row_converges_at_n6():
 def _landing_spread_p90(n, reps):
     """90th percentile of |Z - g(a, U)| over one tracked round per replicate."""
     from shuffle_spectra import ReplicateStreams, card_round_positions, g
+    from shuffle_spectra.batch import CHUNK_ROWS
 
     k0 = n // 2
     spreads = []
-    done = 0
-    chunk = min(reps, max(1, 20_000_000 // n))
-    while done < reps:
-        r = min(chunk, reps - done)
+    for done in range(0, reps, CHUNK_ROWS):
+        r = min(CHUNK_ROWS, reps - done)
         slots = ReplicateStreams(SEED, 1 + done, r).slots(n, n)
         z = card_round_positions(slots, k0) / n
         u = slots[:, k0 - 1] / n
         spreads.append(np.abs(z - g(0.5, u)))
-        done += r
     return float(np.percentile(np.concatenate(spreads), 90.0))
 
 

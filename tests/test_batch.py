@@ -109,24 +109,26 @@ class TestBatchCcrrEquivalence:
                 sim.run_round()
                 for d, rng in zip(decks, rngs):
                     run_round(d, ShuffleKind.CCRR, rng)
-            for r in range(reps):
-                assert sim.order[r].tolist() == decks[r].order
+                pos = sim.positions()
+                for r in range(reps):
+                    want = [decks[r].position_of(c) for c in range(1, n + 1)]
+                    assert pos[r].tolist() == want
 
-    def test_positions_invert_order(self):
+    def test_positions_handed_out_stay_put(self):
+        # a caller may keep positions() across rounds (the last one is read
+        # after the run), so a round must not write into it
         sim = BatchCcrr(12, 8, 5)
+        start = sim.positions()
+        assert start.tolist() == [list(range(1, 13))] * 8
         sim.run_round()
-        pos = sim.positions()
-        for r in range(8):
-            for p in range(12):
-                card = sim.order[r, p]
-                assert pos[r, card - 1] == p + 1
-
-    def test_round_counter(self):
-        sim = BatchCcrr(5, 3, 1)
-        assert sim.rounds_done == 0
+        first = sim.positions()
+        kept = first.copy()
         sim.run_round()
-        sim.run_round()
-        assert sim.rounds_done == 2
+        assert start.tolist() == [list(range(1, 13))] * 8
+        assert np.array_equal(first, kept)
+        assert not np.array_equal(sim.positions(), kept)
+        for row in sim.positions():
+            assert sorted(row.tolist()) == list(range(1, 13))
 
 
 class TestUniformPositions:

@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,13 +126,24 @@ class TestEigenCmd:
         assert run_cli(["eigen", "--n", "10", "--operator", "Q"]) == 2
 
     @pytest.mark.parametrize("flag", [["--maxiter", "0"], ["--tol", "0"],
-                                      ["--tol", "-0.5"], ["--tol", "nan"]])
+                                      ["--tol", "-0.5"], ["--tol", "nan"],
+                                      ["--tol", "inf"]])
     def test_solver_limits_checked_before_building(self, monkeypatch, flag):
         def build(*args, **kwargs):
             raise AssertionError("built the kernel before validating")
 
         monkeypatch.setattr(cli, "build_kernel", build)
         assert run_cli(["eigen", "--n", "50", "--operator", "S", *flag]) == 2
+
+    @pytest.mark.parametrize("op", ["S", "B"])
+    def test_second_eigenvalue_needs_two_cards(self, monkeypatch, op, capsys):
+        # a 1x1 operator has no second eigenvalue to report
+        def build(*args, **kwargs):
+            raise AssertionError("built the kernel before validating")
+
+        monkeypatch.setattr(cli, "build_kernel", build)
+        assert run_cli(["eigen", "--n", "1", "--operator", op]) == 2
+        assert "--n >= 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("op, solver", [("S", "second_eig_sym"), ("D", "skew_norm"),
                                             ("B", "second_eig_b")])
@@ -205,6 +218,15 @@ class TestSimulateCmd:
         monkeypatch.setattr(cli, "second_eig_sym", solver)
         assert run_cli(["simulate", "--kind", "top", "--n", "2000",
                         "--stat", "S"]) == 2
+
+    def test_stat_s_complex_pair_is_a_numeric_failure(self, tmp_path, capsys):
+        # B's dominant pair at n = 8 is complex: there is no real eigenvector
+        # statistic, so nothing is simulated and nothing is written
+        out = tmp_path / "s.json"
+        assert run_cli(["simulate", "--n", "8", "--stat", "S", "--rounds", "2",
+                        "--reps", "10", "--format", "json", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "complex dominant pair" in capsys.readouterr().err
 
     def test_stat_s_needs_two_cards(self):
         assert run_cli(["simulate", "--n", "1", "--stat", "S", "--rounds", "1",
@@ -346,3 +368,20 @@ class TestSeedRange:
         assert run_cli(["singlecard", "--n", "10", "--reps", "5", "--seed",
                         str(2**64 - 1), "--out", str(out)]) == 0
         assert json.loads(read_csv(out)[0][1][len("# config "):])["seed"] == 2**64 - 1
+
+
+class TestReadmeCommands:
+    def test_every_documented_command_parses(self):
+        # the README's "Command line" block, parsed and not run: a flag that
+        # drifts from the parser fails here
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+        block = block.split("```", 1)[0]
+        commands = [shlex.split(line, comments=True)
+                    for line in block.splitlines()
+                    if line.startswith("shuffle-spectra ")]
+        assert commands
+        parser = cli.build_parser()
+        for argv in commands:
+            args = parser.parse_args(argv[1:])
+            assert args.cmd == argv[1]

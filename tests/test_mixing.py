@@ -1,8 +1,6 @@
 import dataclasses
 import itertools
 import math
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -251,37 +249,19 @@ def _full_round_column(slots, k):
     return batch_round_positions(slots)[:, k - 1]
 
 
-@contextmanager
-def _deadline(seconds):
-    """Fail, rather than hang, a call that does not return in time."""
-    def expire(signum, frame):
-        raise TimeoutError(f"no return within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 class TestEmpiricalSingleCard:
     @pytest.mark.parametrize("n, reps, chunk", [(6, 20_000, 7_000),
                                                 (1000, 1500, 600)])
     def test_equals_per_replicate_streams_and_the_full_round(
             self, monkeypatch, n, reps, chunk):
-        got = empirical_single_card(n, 0.5, reps, seed=13, chunk=chunk)
+        monkeypatch.setattr(mixing, "CHUNK_ROWS", chunk)
+        got = empirical_single_card(n, 0.5, reps, seed=13)
         monkeypatch.setattr(mixing, "ReplicateStreams", _PerReplicateStreams)
         monkeypatch.setattr(mixing, "card_round_positions", _full_round_column)
-        want = empirical_single_card(n, 0.5, reps, seed=13, chunk=chunk)
+        want = empirical_single_card(n, 0.5, reps, seed=13)
         for field in dataclasses.fields(want):
             a, b = getattr(got, field.name), getattr(want, field.name)
             assert np.array_equal(a, b), field.name
-
-    def test_chunk_below_one_rejected(self):
-        with _deadline(5), pytest.raises(ValueError, match="chunk"):
-            empirical_single_card(10, 0.5, 5, chunk=0)
 
     def test_row_converges_to_exact(self):
         n = 6
@@ -332,7 +312,7 @@ class TestStatisticAndExperiment:
     def test_stationary_mean_near_zero(self):
         n = 200
         k = build_kernel(n)
-        est = second_eig_b(k.matvec, n, apply_t=k.rmatvec)
+        est = second_eig_b(k.matvec, n)
         stat = mixing.TestStatistic(np.real(est.vector))
         pos = uniform_positions(n, 10_000, seed=9)
         vals = stat.from_positions(pos)
@@ -342,7 +322,7 @@ class TestStatisticAndExperiment:
     def test_zero_rounds_deterministic(self):
         n = 60
         k = build_kernel(n)
-        est = second_eig_b(k.matvec, n, apply_t=k.rmatvec)
+        est = second_eig_b(k.matvec, n)
         traj = run_lower_bound_experiment(
             n, 0, 50, np.real(est.vector), abs(est.value), seed=5
         )
@@ -353,10 +333,10 @@ class TestStatisticAndExperiment:
     def test_decay_tracks_lambda_at_small_scale(self):
         n = 400
         k = build_kernel(n)
-        est = second_eig_b(k.matvec, n, apply_t=k.rmatvec, tol=1e-12)
+        est = second_eig_b(k.matvec, n, tol=1e-12)
         lam = abs(est.value)
         traj = run_lower_bound_experiment(
-            n, 4, 1500, np.real(est.vector), lam, seed=31, chunk=1500
+            n, 4, 1500, np.real(est.vector), lam, seed=31
         )
         # signed-mean fit over its signal window stays close to |lambda|
         assert traj.signed_window >= 2
@@ -367,7 +347,7 @@ class TestStatisticAndExperiment:
     def test_summary_and_rows(self):
         n = 50
         k = build_kernel(n)
-        est = second_eig_b(k.matvec, n, apply_t=k.rmatvec)
+        est = second_eig_b(k.matvec, n)
         traj = run_lower_bound_experiment(n, 2, 100, np.real(est.vector),
                                           abs(est.value), seed=3)
         rows = traj.to_rows()
@@ -386,10 +366,15 @@ class TestStatisticAndExperiment:
         with pytest.raises(ValueError, match="reps"):
             run_lower_bound_experiment(8, 3, 1, np.linspace(-1, 1, 8), 0.2)
 
-    def test_chunk_below_one_rejected(self):
-        with _deadline(5), pytest.raises(ValueError, match="chunk"):
-            run_lower_bound_experiment(8, 1, 10, np.linspace(-1, 1, 8), 0.2,
-                                       chunk=0)
+    def test_chunks_do_not_change_the_result(self, monkeypatch):
+        # replicate r draws from stream base + r whichever pass it is in
+        phi = np.linspace(-1, 1, 30)
+        whole = run_lower_bound_experiment(30, 3, 50, phi, 0.2, seed=8)
+        monkeypatch.setattr(mixing, "CHUNK_ROWS", 7)
+        chunked = run_lower_bound_experiment(30, 3, 50, phi, 0.2, seed=8)
+        for field in dataclasses.fields(whole):
+            a, b = getattr(whole, field.name), getattr(chunked, field.name)
+            assert np.array_equal(a, b), field.name
 
     def test_phi_grid_mismatch(self):
         with pytest.raises(ValueError):
@@ -401,7 +386,7 @@ class TestStatisticAndExperiment:
         cs = {}
         for n in (300, 600, 1200):
             k = build_kernel(n)
-            est = second_eig_b(k.matvec, n, apply_t=k.rmatvec)
+            est = second_eig_b(k.matvec, n)
             stat = mixing.TestStatistic(np.real(est.vector))
             cs[n] = abs(stat.s0()) / n ** (4 / 9)
         vals = np.array(list(cs.values()))

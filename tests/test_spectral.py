@@ -58,6 +58,17 @@ class TestSecondEigSym:
         burn = 5
         assert np.all(np.diff(hist[burn:]) >= -1e-9)
 
+    def test_n1_rejected(self):
+        # a 1x1 operator has no second eigenvalue
+        with pytest.raises(ValueError, match="n >= 2"):
+            second_eig_sym(lambda v: v, 1)
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1e-10])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # an infinite tol stops at the first streak, far from the eigenvalue
+        with pytest.raises(ValueError, match="tol"):
+            second_eig_sym(lambda v: v, 4, tol=tol)
+
 
 class TestSkewNorm:
     def test_zero_operator(self):
@@ -95,17 +106,23 @@ class TestSkewNorm:
 class TestSecondEigB:
     def test_n1_rejected(self):
         with pytest.raises(ValueError):
-            second_eig_b(lambda v: v, 1, apply_t=lambda v: v)
+            second_eig_b(lambda v: v, 1)
 
     @pytest.mark.parametrize("n", [100, 150])
     def test_matches_dense_nonsymmetric_solver(self, n):
         k = build_kernel(n)
         w = np.linalg.eigvals(k.probs)
         by_mod = w[np.argsort(-np.abs(w))]
-        est = second_eig_b(k.matvec, n, tol=1e-12, apply_t=k.rmatvec)
+        est = second_eig_b(k.matvec, n, tol=1e-12)
         assert est.converged
         assert abs(est.value.imag) < 1e-10
         assert est.value.real == pytest.approx(by_mod[1].real, abs=1e-6)
+        # the deflated iterate, shifted along the all-ones vector, is B's
+        # own eigenvector
+        x = est.vector
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(k.probs @ x - est.value.real * x) <= 1e-10
+        assert est.residual <= 1e-10
 
     def test_complex_pair_flagged(self):
         # one eigenvalue 1 (uniform pair) plus a rotation block: the deflated
@@ -121,21 +138,26 @@ class TestSecondEigB:
             [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
         )
         m = np.outer(ones, ones) + q @ rot @ q.T
-        est = second_eig_b(m.__matmul__, n, apply_t=lambda v: m.T @ v, maxiter=3000)
+        est = second_eig_b(m.__matmul__, n, maxiter=3000)
         assert not est.converged
         assert "complex" in est.note
         assert abs(est.value) == pytest.approx(c, abs=1e-6)
         assert abs(est.value.imag) > 0.1
+        # the vector lies in m's invariant plane of the pair
+        x, lam = est.vector, est.value
+        plane = m @ (m @ x) - 2 * lam.real * (m @ x) + abs(lam) ** 2 * x
+        assert np.linalg.norm(plane) <= 1e-8
 
-
-    def test_stationary_cap_flagged(self):
-        # a period-2 chain: the transpose power iteration from uniform
-        # oscillates between (1/3, 1/3, 1/3) and (2/3, 1/6, 1/6) forever
+    def test_periodic_chain_converges(self):
+        # a period-2 chain has eigenvalues 1, -1, 0: no stationary solve is
+        # needed to deflate it, so its dominant pair -1 converges
         m = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        est = second_eig_b(m.__matmul__, 3, apply_t=lambda v: m.T @ v)
-        assert not est.converged
-        assert "stationary" in est.note
-        assert est.value.real == pytest.approx(-1.0, abs=1e-8)
+        est = second_eig_b(m.__matmul__, 3)
+        assert est.converged
+        assert est.note == ""
+        assert est.value == pytest.approx(-1.0, abs=1e-12)
+        assert est.residual <= 1e-12
+        assert np.abs(m @ est.vector + est.vector).max() <= 1e-12
 
 
 class TestResidual:
