@@ -34,6 +34,22 @@ sentinel no search passes, out to the descent's reach (twice the highest
 power of two <= size), so no index is clamped or masked.  The nodes a
 descent does not pass are exactly the found slot's update chain, so the
 descent adds the pass's +1 (forward) or -1 (reverse) to them as it goes.
+
+A pass spans rounds x replicates rows.  With relabeling every round maps
+start-of-round positions 1..n through its own slots alone, so a run is a
+composition of independent round maps, and ``BatchCcrr`` computes several
+rounds' maps in one pass over a block of rows, in place: each row's slots
+become v_k, then final positions.  The call count of a pass depends on n,
+not on its rows, so stacking rounds divides the calls a run makes.
+
+Storage width.  Tree nodes reach 2n + 1 and the searched prefixes stay
+below 2n, so a block and its trees are int16 while n < 2^13 and int32
+from there on.  The sentinel is 2^(bits - 2): 2^14 for int16, 2^30 for
+int32.  A sentinel node is never passed, so each descent through it adds
+the forward pass's +1; after n < 2^(bits - 3) descents it is still below
+2^(bits - 1) and does not overflow, and after the reverse pass's n
+decrements it is still above every prefix searched.  The flat index of a
+tree node is kept in intp whatever the storage width.
 """
 
 from __future__ import annotations
@@ -45,34 +61,41 @@ from .deck import ReplicateStreams, RngStream
 __all__ = ["batch_round_positions", "card_round_positions", "BatchCcrr",
            "uniform_positions"]
 
-# Replicate rows per batched pass.  On 2 CPUs, 2048 to 16,384 rows ran the
-# one-card pass at n = 1000 equally fast, and 8192 ran full rounds at
-# n = 2000 10% faster than 4096; but a pass's trees and slots grow as
-# rows x n, and at n = 10^4 one of 4096 rows already peaks near 450 MB.
+# Rows per batched pass: replicates, or rounds x replicates in BatchCcrr.
+# On 2 CPUs, 2048 to 16,384 rows ran the one-card pass at n = 1000 equally
+# fast, and 8192 ran full rounds at n = 2000 10% faster than 4096; but a
+# pass's trees and slots grow as rows x n, and at n = 10^4 one of 4096
+# rows already peaks near 450 MB.
 CHUNK_ROWS = 4096
-_SENTINEL = 1 << 30  # above every prefix a descent searches for
+
+
+def _storage(n):
+    """The narrowest dtype a round's block and trees fit in (module notes)."""
+    return np.dtype(np.int16 if n < 1 << 13 else np.int32)
 
 
 class _UnitTrees:
     """R Fenwick trees over slots 1..size, every weight 1 at the start."""
 
-    def __init__(self, size, reps):
+    def __init__(self, size, reps, dtype):
         self.reps = reps
+        bits = dtype.itemsize * 8
+        self.shift = bits - 1
         self.top = 1 << size.bit_length() >> 1  # highest power of two <= size
         node = np.arange(2 * self.top)
-        node = np.where(node <= size, node & -node, _SENTINEL).astype(np.int32)
+        node = np.where(node <= size, node & -node, 1 << bits - 2).astype(dtype)
         self.flat = np.repeat(node, reps)  # node j of replicate c at j * reps + c
         self._cols = np.arange(reps, dtype=np.intp)
-        self._nxt = np.empty(reps, dtype=np.intp)
-        self._t, self._e, self._skip, self._tmp = np.empty((4, reps), dtype=np.int32)
+        self._nxt, self._step = np.empty((2, reps), dtype=np.intp)
+        self._t, self._e, self._skip, self._tmp = np.empty((4, reps), dtype=dtype)
 
     def descend(self, below, delta):
         """Row f - 1 of the smallest slot f with prefix(f) > below, per replicate.
 
         Adds ``delta`` (+1 or -1) to slot f's weight in the same descent.
-        ``below`` (int32) is consumed.
+        ``below`` (the trees' dtype) is consumed.
         """
-        reps, flat, nxt = self.reps, self.flat, self._nxt
+        reps, flat, nxt, step = self.reps, self.flat, self._nxt, self._step
         t, e, skip, tmp = self._t, self._e, self._skip, self._tmp
         update = np.subtract if delta > 0 else np.add  # t - skip: +1 where skip
         bit = self.top
@@ -80,13 +103,13 @@ class _UnitTrees:
         while True:
             flat.take(nxt, out=t)
             np.subtract(below, t, out=e)
-            np.right_shift(e, 31, out=skip)  # -1 where the node is not passed
+            np.right_shift(e, self.shift, out=skip)  # -1 where the node is not passed
             update(t, skip, out=tmp)
             flat[nxt] = tmp  # a node not passed is on slot f's update chain
             np.bitwise_and(t, skip, out=tmp)
             np.add(e, tmp, out=below)  # below - t where passed
-            np.bitwise_and(skip, bit * reps, out=tmp)
-            np.subtract(nxt, tmp, out=nxt)  # the row reached so far
+            np.bitwise_and(skip, np.intp(bit * reps), out=step)
+            np.subtract(nxt, step, out=nxt)  # the row reached so far
             bit >>= 1
             if not bit:
                 return nxt // reps
@@ -94,12 +117,13 @@ class _UnitTrees:
 
 
 def _forward_pass(slots):
-    """Yield v_k for k = 1..n: per replicate, the processed cards above the
-    point where card k is reinserted.  The yielded int32 array is reused."""
-    reps, n = slots.shape
-    below = np.empty(reps, dtype=np.int32)
-    v = np.empty(reps, dtype=np.int32)
-    tree = _UnitTrees(n + 1, reps)
+    """Yield v_k for k = 1..n: per row, the processed cards above the point
+    where card k is reinserted.  Runs in slots' dtype; reads column k - 1
+    before it yields v_k, and the yielded array is reused."""
+    rows, n = slots.shape
+    below = np.empty(rows, dtype=slots.dtype)
+    v = np.empty(rows, dtype=slots.dtype)
+    tree = _UnitTrees(n + 1, rows, slots.dtype)
     for k in range(1, n + 1):
         # insert at final rank u: pass u - 1 cards and the k processed units
         um1 = slots[:, k - 1] - 1
@@ -110,24 +134,42 @@ def _forward_pass(slots):
         yield v
 
 
-def batch_round_positions(slots):
+def _checked(slots):
+    """slots as an array of rows of draws from 1..n, or ValueError."""
+    slots = np.asarray(slots)
+    if slots.ndim != 2:
+        raise ValueError("slots must be a (rows, n) array")
+    n = slots.shape[1]
+    if slots.size and not (slots.min() >= 1 and slots.max() <= n):
+        raise ValueError(f"slots must lie in 1..{n}")
+    return slots
+
+
+def batch_round_positions(slots, out=None):
     """Final positions after one CCRR round, per replicate.
 
     slots[r, k-1] in 1..n is the final rank drawn for the card processed
     k-th (the card in start-of-round position k) in replicate r.  Returns
     an int32 array of the same shape: entry [r, k-1] is that card's
-    position at the end of the round.
+    position at the end of the round.  With ``out`` (int32, or int16 while
+    n < 2^13; it may be slots itself) the positions are written there
+    instead, and the pass runs in out's dtype.
     """
-    slots = np.asarray(slots, dtype=np.int32)
-    reps, n = slots.shape
-    out = np.empty((reps, n), dtype=np.int32)
-    for k, v in enumerate(_forward_pass(slots)):
-        out[:, k] = v
+    slots = _checked(slots)
+    n = slots.shape[1]
+    if out is None:
+        out = slots.astype(np.int32)
+    elif out.dtype not in (np.dtype(np.int32), _storage(n)):
+        raise ValueError(f"out must be int32 or {_storage(n)} at n = {n}")
+    elif out is not slots:
+        np.copyto(out, slots, casting="same_kind")
+    for k, v in enumerate(_forward_pass(out)):
+        out[:, k] = v  # slot k + 1 has been read
 
     # reverse pass: card k claims the (v_k + 1)-th free final slot; its
     # final position overwrites v_k in place
-    below = np.empty(reps, dtype=np.int32)
-    tree = _UnitTrees(n, reps)
+    below = np.empty(len(out), dtype=out.dtype)
+    tree = _UnitTrees(n, len(out), out.dtype)
     for k in range(n, 0, -1):
         below[:] = out[:, k - 1]
         np.add(tree.descend(below, -1), 1, out=out[:, k - 1])
@@ -142,7 +184,7 @@ def card_round_positions(slots, k):
     each later card j, entering at rank v_j + 1, pushes it down one when
     v_j < its rank.  Returns an int32 array with one entry per replicate.
     """
-    slots = np.asarray(slots, dtype=np.int32)
+    slots = _checked(slots).astype(np.int32, copy=False)
     if not 1 <= k <= slots.shape[1]:
         raise ValueError(f"card {k} outside 1..{slots.shape[1]}")
     rank = np.empty(len(slots), dtype=np.int32)
@@ -155,31 +197,52 @@ def card_round_positions(slots, k):
 
 
 class BatchCcrr:
-    """R replicate decks evolved round by round under CCRR.
+    """R replicate decks evolved through ``rounds`` CCRR rounds.
 
     Replicate r draws its slots as RngStream(seed, stream_base + r) would
     (through one ReplicateStreams), n draws per round, so any single
     replicate reproduces exactly the sequential Deck simulation driven by
     that stream.  The state is every card's position: a CCRR round moves
-    cards by their start-of-round positions alone.
+    cards by their start-of-round positions alone.  Round maps are
+    computed CHUNK_ROWS // R rounds at a time (at least one) in one
+    batched pass, and each run_round composes the next of them.
     """
 
-    def __init__(self, n, reps, seed, stream_base=1):
+    def __init__(self, n, reps, seed, rounds, stream_base=1):
+        if rounds < 0:
+            raise ValueError("rounds must be >= 0")
         self.n = n
         self.reps = reps
         self.seed = seed
         self.stream_base = stream_base
+        self._left = rounds  # rounds not yet run
+        self._maps = []  # computed round maps not yet composed, next last
         self._streams = ReplicateStreams(seed, stream_base, reps)
         self._pos = np.tile(np.arange(1, n + 1, dtype=np.int32), (reps, 1))
 
     def draw_slots(self):
         return self._streams.slots(self.n, self.n)
 
+    def _next_maps(self):
+        """The next rounds' maps from one pass over a rounds x reps block."""
+        reps = self.reps
+        m = min(self._left, max(1, CHUNK_ROWS // max(reps, 1)))
+        block = np.empty((m * reps, self.n), dtype=_storage(self.n))
+        for i in range(m):  # round by round, as the streams are read
+            block[i * reps : (i + 1) * reps] = self.draw_slots()
+        batch_round_positions(block, out=block)
+        self._maps = np.split(block, m)[::-1]
+
     def run_round(self):
         """Advance every replicate one round."""
-        fp = batch_round_positions(self.draw_slots())
+        if not self._left:
+            raise ValueError("every round of this run has been run")
+        if not self._maps:
+            self._next_maps()
+        fp = self._maps.pop()
+        self._left -= 1
         # a new array: positions() handed out earlier stay as they were
-        self._pos = np.take_along_axis(fp, self._pos - 1, axis=1)
+        self._pos = np.take_along_axis(fp, self._pos - 1, axis=1).astype(np.int32, copy=False)
 
     def positions(self):
         """pos[r, c-1] = current position of card c in replicate r.

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .batch import BatchCcrr
+from .batch import CHUNK_ROWS, BatchCcrr
 from .deck import Deck, RngStream
 from .ideal import (
     MatrixFreeKernel,
@@ -234,11 +234,13 @@ def cmd_simulate(args, parser):
     # positions statistic: mean and variance of card 1's depth per round
     pos = np.empty((args.rounds + 1, args.reps))
     if kind is ShuffleKind.CCRR:
-        sim = BatchCcrr(args.n, args.reps, args.seed)
-        for t in range(args.rounds + 1):
-            if t:
-                sim.run_round()
-            pos[t] = sim.positions()[:, 0]
+        for done in range(0, args.reps, CHUNK_ROWS):
+            r = min(CHUNK_ROWS, args.reps - done)
+            sim = BatchCcrr(args.n, r, args.seed, args.rounds, 1 + done)
+            for t in range(args.rounds + 1):
+                if t:
+                    sim.run_round()
+                pos[t, done : done + r] = sim.positions()[:, 0]
     else:
         for r in range(args.reps):
             deck, rng = Deck.identity(args.n), RngStream(args.seed, 1 + r)

@@ -535,7 +535,7 @@ def run_lower_bound_experiment(n, rounds, reps, phi, lam, seed=12345,
     values = np.empty((rounds + 1, reps))
     for done in range(0, reps, CHUNK_ROWS):
         r = min(CHUNK_ROWS, reps - done)
-        sim = BatchCcrr(n, r, seed, stream_base + done)
+        sim = BatchCcrr(n, r, seed, rounds, stream_base + done)
         values[0, done : done + r] = stat.s0()
         for t in range(1, rounds + 1):
             sim.run_round()

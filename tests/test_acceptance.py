@@ -16,6 +16,7 @@ import brute
 from shuffle_spectra import (
     Deck,
     FastDeck,
+    MatrixFreeKernel,
     PermDistribution,
     RngStream,
     ShuffleKind,
@@ -84,8 +85,7 @@ def est_b_1e4(kernel_1e4):
 @pytest.fixture(scope="session")
 def experiment_2000():
     n = 2000
-    kernel = build_kernel(n)
-    est = second_eig_b(kernel.matvec, n, tol=1e-12)
+    est = second_eig_b(MatrixFreeKernel(n).matvec, n, tol=1e-12)
     assert est.converged and abs(est.value.imag) < 1e-10
     phi = np.real(est.vector)
     lam = abs(est.value)

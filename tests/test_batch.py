@@ -8,6 +8,7 @@ from shuffle_spectra import (
     Deck,
     RngStream,
     ShuffleKind,
+    batch,
     batch_round_positions,
     card_round_positions,
     run_round,
@@ -95,14 +96,101 @@ class TestBatchRoundDescentEdges:
         assert peak < 4 * reps * n * np.dtype(np.int32).itemsize
 
 
+class TestRejectsSlotsOutsideTheDeck:
+    @pytest.mark.parametrize("slots", [[[5, 1, 1]], [[0, 1, 1]], [[1, 2, -3]]])
+    def test_full_round(self, slots):
+        with pytest.raises(ValueError, match="1..3"):
+            batch_round_positions(slots)
+
+    def test_one_card_pass(self):
+        with pytest.raises(ValueError, match="1..3"):
+            card_round_positions([[7, 1, 1]], 1)
+
+    def test_before_any_descent(self, monkeypatch):
+        def descend(*args):
+            raise AssertionError("descended before validating the slots")
+
+        monkeypatch.setattr(batch._UnitTrees, "descend", descend)
+        with pytest.raises(ValueError):
+            batch_round_positions([[1, 2, 4]])
+        with pytest.raises(ValueError):
+            card_round_positions([[1, 2, 4]], 3)
+
+
+def _replayed(draws):
+    """Every card's final position after one literal CCRR round."""
+    n = len(draws)
+    final = literal_round(tuple(range(1, n + 1)), "ccrr", draws.tolist())
+    pos = np.empty(n, dtype=np.int64)
+    pos[np.array(final) - 1] = np.arange(1, n + 1)
+    return pos
+
+
+class TestStorageWidth:
+    @staticmethod
+    def _check_both_widths(n, random_rows):
+        rng = np.random.default_rng(2000 + n)
+        slots = np.vstack([rng.integers(1, n + 1, size=(random_rows, n)),
+                           np.ones((1, n), dtype=np.int64),   # every card to the top
+                           np.full((1, n), n)])               # every card to the bottom
+        narrow = batch_round_positions(slots, out=np.empty(slots.shape, np.int16))
+        wide = batch_round_positions(slots)
+        assert narrow.dtype == np.int16 and wide.dtype == np.int32
+        assert np.array_equal(narrow, wide)
+        for row, draws in zip(narrow, slots):
+            assert np.array_equal(row, _replayed(draws))
+
+    @pytest.mark.parametrize("n", _edge_sizes())
+    def test_int16_and_int32_give_the_replayed_maps(self, n):
+        self._check_both_widths(n, 5)
+
+    @pytest.mark.parametrize("n", [8000, 2**13 - 1])
+    def test_widest_int16_decks(self, n):
+        # at n = 2^13 - 1 the forward tree's nodes reach 2n + 1 = 2^14 - 1;
+        # at n = 8000 the forward tree has sentinel nodes, and the every-
+        # card-to-the-bottom row reaches them, unpassed, in each of its n
+        # descents, raising them to 2^14 + 8000
+        self._check_both_widths(n, 1)
+
+    def test_int32_from_2_pow_13(self, monkeypatch):
+        with pytest.raises(ValueError, match="int32"):
+            batch_round_positions(np.ones((1, 2**13), dtype=np.int32),
+                                  out=np.empty((1, 2**13), np.int16))
+
+        class Stop(Exception):
+            pass
+
+        widths = []
+
+        def spy(slots, out=None):
+            widths.append(out.dtype)
+            raise Stop
+
+        monkeypatch.setattr(batch, "batch_round_positions", spy)
+        for n in (2**13 - 1, 2**13):
+            with pytest.raises(Stop):
+                BatchCcrr(n, 2, 0, 1).run_round()
+        assert widths == [np.int16, np.int32]
+
+    def test_in_place_on_the_slots(self):
+        slots = np.random.default_rng(4).integers(1, 10, size=(6, 9)).astype(np.int16)
+        want = batch_round_positions(slots)
+        assert batch_round_positions(slots, out=slots) is slots
+        assert np.array_equal(slots, want)
+
+
 class TestBatchCcrrEquivalence:
-    def test_replicates_match_sequential_decks(self):
+    # reps = 5 and 3 rounds: a block of 1 round, 2 rounds then a partial
+    # last block of 1, every round in one block
+    @pytest.mark.parametrize("chunk_rows", [1, 5, 10, 4096])
+    def test_replicates_match_sequential_decks(self, monkeypatch, chunk_rows):
         # replicate r of the batch is bit-for-bit the Deck simulation driven
         # by RngStream(seed, stream_base + r), n draws per round; an odd n
         # splits a 64-bit word across rounds
+        monkeypatch.setattr(batch, "CHUNK_ROWS", chunk_rows)
         reps, rounds, seed = 5, 3, 99
         for n in (30, 31):
-            sim = BatchCcrr(n, reps, seed, stream_base=1)
+            sim = BatchCcrr(n, reps, seed, rounds, stream_base=1)
             decks = [Deck.identity(n) for _ in range(reps)]
             rngs = [RngStream(seed, 1 + r) for r in range(reps)]
             for _ in range(rounds):
@@ -110,25 +198,39 @@ class TestBatchCcrrEquivalence:
                 for d, rng in zip(decks, rngs):
                     run_round(d, ShuffleKind.CCRR, rng)
                 pos = sim.positions()
+                assert pos.dtype == np.int32
                 for r in range(reps):
                     want = [decks[r].position_of(c) for c in range(1, n + 1)]
                     assert pos[r].tolist() == want
 
-    def test_positions_handed_out_stay_put(self):
+    @pytest.mark.parametrize("chunk_rows", [8, 16])
+    def test_positions_handed_out_stay_put(self, monkeypatch, chunk_rows):
         # a caller may keep positions() across rounds (the last one is read
-        # after the run), so a round must not write into it
-        sim = BatchCcrr(12, 8, 5)
+        # after the run), so a round must not write into it, within a block
+        # or across a block boundary
+        monkeypatch.setattr(batch, "CHUNK_ROWS", chunk_rows)
+        sim = BatchCcrr(12, 8, 5, 3)
         start = sim.positions()
         assert start.tolist() == [list(range(1, 13))] * 8
-        sim.run_round()
-        first = sim.positions()
-        kept = first.copy()
-        sim.run_round()
-        assert start.tolist() == [list(range(1, 13))] * 8
-        assert np.array_equal(first, kept)
-        assert not np.array_equal(sim.positions(), kept)
+        handed = [start]
+        for _ in range(3):
+            kept = [p.copy() for p in handed]
+            sim.run_round()
+            assert all(np.array_equal(p, q) for p, q in zip(handed, kept))
+            assert not np.array_equal(sim.positions(), kept[-1])
+            handed.append(sim.positions())
         for row in sim.positions():
             assert sorted(row.tolist()) == list(range(1, 13))
+
+    def test_round_count_is_checked(self):
+        with pytest.raises(ValueError, match="rounds"):
+            BatchCcrr(5, 2, 0, -1)
+        sim = BatchCcrr(5, 2, 0, 2)
+        sim.run_round()
+        sim.run_round()
+        with pytest.raises(ValueError):
+            sim.run_round()
+        assert BatchCcrr(5, 2, 0, 0).positions().tolist() == [[1, 2, 3, 4, 5]] * 2
 
 
 class TestUniformPositions:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shuffle_spectra import build_kernel, cli, kernel_from_binary
+from shuffle_spectra import batch, build_kernel, cli, kernel_from_binary
 from shuffle_spectra.cli import main
 
 
@@ -184,6 +184,19 @@ class TestSimulateCmd:
         args[-1] = "10"  # different seed
         assert run_cli(args + ["--out", str(c)]) == 0
         assert a.read_bytes() != c.read_bytes()
+
+    def test_positions_chunks_do_not_change_the_csv(self, tmp_path, monkeypatch):
+        # replicate r draws from stream 1 + r whichever chunk it is in
+        whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
+        args = ["simulate", "--kind", "ccrr", "--n", "25", "--rounds", "4",
+                "--reps", "40", "--stat", "positions", "--seed", "3"]
+        assert run_cli(args + ["--out", str(whole)]) == 0
+        # chunks of 12, 12, 12 and 4 replicates; the last runs its rounds
+        # in a block of 3 and one of 1
+        monkeypatch.setattr(cli, "CHUNK_ROWS", 12)
+        monkeypatch.setattr(batch, "CHUNK_ROWS", 12)
+        assert run_cli(args + ["--out", str(chunked)]) == 0
+        assert whole.read_bytes() == chunked.read_bytes()
 
     def test_stat_s_small(self, tmp_path):
         out = tmp_path / "s.csv"
