@@ -11,6 +11,7 @@ from .batch import (
     BatchCcrr,
     batch_round_positions,
     card_round_positions,
+    ccrr_rounds,
     uniform_positions,
 )
 from .deck import Deck, FastDeck, ReplicateStreams, RngStream
@@ -59,7 +60,7 @@ from .spectral import (
 __all__ = [
     "__version__",
     "BatchCcrr", "batch_round_positions", "card_round_positions",
-    "uniform_positions",
+    "ccrr_rounds", "uniform_positions",
     "Deck", "FastDeck", "ReplicateStreams", "RngStream",
     "GridKernel", "MatrixFreeKernel", "NumericError", "apply_sym",
     "build_kernel", "g", "g_inverse", "g_prime",

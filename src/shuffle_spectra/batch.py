@@ -59,7 +59,7 @@ import numpy as np
 from .deck import ReplicateStreams, RngStream
 
 __all__ = ["batch_round_positions", "card_round_positions", "BatchCcrr",
-           "uniform_positions"]
+           "ccrr_rounds", "uniform_positions"]
 
 # Rows per batched pass: replicates, or rounds x replicates in BatchCcrr.
 # On 2 CPUs, 2048 to 16,384 rows ran the one-card pass at n = 1000 equally
@@ -252,8 +252,25 @@ class BatchCcrr:
         return self._pos
 
 
+def ccrr_rounds(n, rounds, reps, seed, read):
+    """Row t - 1: ``read(positions)`` of every replicate after round t.
+
+    ``read`` maps (R, n) positions to R values and is called after rounds
+    1..rounds only.  Replicate r draws from RngStream(seed, 1 + r), in
+    BatchCcrr runs of at most CHUNK_ROWS replicates.
+    """
+    out = np.empty((rounds, reps))
+    for done in range(0, reps, CHUNK_ROWS):
+        r = min(CHUNK_ROWS, reps - done)
+        sim = BatchCcrr(n, r, seed, rounds, 1 + done)
+        for t in range(rounds):
+            sim.run_round()
+            out[t, done : done + r] = read(sim.positions())
+    return out
+
+
 def uniform_positions(n, reps, seed, stream_base=1):
-    """Positions of cards in ``reps`` independent uniform decks."""
+    """Card positions in ``reps`` uniform decks: the stationary moments' oracle."""
     pos = np.empty((reps, n), dtype=np.int32)
     for r in range(reps):
         stream = RngStream(seed, stream_base + r)

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .batch import CHUNK_ROWS, BatchCcrr
+from .batch import ccrr_rounds
 from .deck import Deck, RngStream
 from .ideal import (
     MatrixFreeKernel,
@@ -208,6 +208,8 @@ def cmd_simulate(args, parser):
         parser.error("--stat S is defined for the ccrr kind")
     if args.stat == "S" and args.n < 2:
         parser.error("--stat S needs --n >= 2")
+    if args.stat == "positions" and args.format == "json":
+        parser.error("--stat positions writes CSV only")
     config = {
         "cmd": "simulate", "kind": kind.value, "n": args.n,
         "rounds": args.rounds, "reps": args.reps, "seed": args.seed,
@@ -233,20 +235,15 @@ def cmd_simulate(args, parser):
         return 0
     # positions statistic: mean and variance of card 1's depth per round
     pos = np.empty((args.rounds + 1, args.reps))
+    pos[0] = 1  # every run starts from the sorted deck
     if kind is ShuffleKind.CCRR:
-        for done in range(0, args.reps, CHUNK_ROWS):
-            r = min(CHUNK_ROWS, args.reps - done)
-            sim = BatchCcrr(args.n, r, args.seed, args.rounds, 1 + done)
-            for t in range(args.rounds + 1):
-                if t:
-                    sim.run_round()
-                pos[t, done : done + r] = sim.positions()[:, 0]
+        pos[1:] = ccrr_rounds(args.n, args.rounds, args.reps, args.seed,
+                              lambda p: p[:, 0])
     else:
         for r in range(args.reps):
             deck, rng = Deck.identity(args.n), RngStream(args.seed, 1 + r)
-            for t in range(args.rounds + 1):
-                if t:
-                    run_round(deck, kind, rng)
+            for t in range(1, args.rounds + 1):
+                run_round(deck, kind, rng)
                 pos[t, r] = deck.position_of(1)
     rows = [(t, float(d.mean()), float(d.var(ddof=1)), args.reps)
             for t, d in enumerate(pos / args.n)]
@@ -317,11 +314,12 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, formats=("csv", "json"), seed="base RNG seed (default %(default)s)"):
+    def common(p, formats=None, seed="base RNG seed (default %(default)s)"):
         if seed:
             p.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help=seed)
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
-        p.add_argument("--format", choices=list(formats), default=formats[0])
+        if formats:
+            p.add_argument("--format", choices=list(formats), default=formats[0])
 
     p = sub.add_parser("gcurve", help="sample the idealized landing map "
                                       "g(b, u) over the unit interval")
@@ -359,7 +357,7 @@ def build_parser():
     p.add_argument("--rounds", type=int, default=10)
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--stat", choices=["S", "positions"], default="positions")
-    common(p)
+    common(p, formats=("csv", "json"))
     p.set_defaults(func=cmd_simulate, parser=p)
 
     p = sub.add_parser("exact", help="exact total-variation mixing table "
@@ -367,8 +365,9 @@ def build_parser():
     p.add_argument("--kind", default="ccrr")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rounds", type=int, default=6)
-    common(p, seed="accepted so every run takes --seed; exact tables draw "
-                   "no random numbers")
+    common(p, formats=("csv", "json"),
+           seed="accepted so every run takes --seed; exact tables draw "
+                "no random numbers")
     p.set_defaults(func=cmd_exact, parser=p)
 
     p = sub.add_parser("singlecard", help="empirical conditional law of a "

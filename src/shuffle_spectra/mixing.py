@@ -36,8 +36,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .batch import CHUNK_ROWS, BatchCcrr, card_round_positions, uniform_positions
-from .batch import batch_round_positions  # noqa: F401 (perfbench wraps this name)
+from .batch import CHUNK_ROWS, card_round_positions, ccrr_rounds
+# perfbench wraps these names here
+from .batch import batch_round_positions, uniform_positions  # noqa: F401
 from .deck import ReplicateStreams
 from .ideal import g
 from .shuffles import ShuffleKind
@@ -357,21 +358,25 @@ class SingleCardStats:
         return self.row_hist / self.reps
 
 
-def empirical_single_card(n, a, reps, seed=12345, stream_base=1, buckets=50):
+def empirical_single_card(n, a, reps, seed=12345):
     """Simulate the tracked card over one CCRR round, reps times.
 
-    Returns SingleCardStats with per-bucket conditional moments of Z given
-    U and the unconditional landing histogram (the empirical kernel row).
+    Replicate r draws from RngStream(seed, 1 + r).  Returns SingleCardStats
+    with the moments of Z given U in 50 buckets and the unconditional
+    landing histogram (the empirical kernel row).
     """
     k0 = round(a * n)
     if not 1 <= k0 <= n or abs(k0 / n - a) > 1e-12:
         raise ValueError("a must be a grid point i/n in (0, 1]")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    buckets = 50
     z_all = np.empty(reps)
     u_all = np.empty(reps)
     row_hist = np.zeros(n, dtype=np.int64)
     for done in range(0, reps, CHUNK_ROWS):
         r = min(CHUNK_ROWS, reps - done)
-        slots = ReplicateStreams(seed, stream_base + done, r).slots(n, n)
+        slots = ReplicateStreams(seed, 1 + done, r).slots(n, n)
         z = card_round_positions(slots, k0)
         z_all[done : done + r] = z / n
         u_all[done : done + r] = slots[:, k0 - 1] / n
@@ -379,10 +384,7 @@ def empirical_single_card(n, a, reps, seed=12345, stream_base=1, buckets=50):
     edges = np.arange(buckets + 1) / buckets
     idx = np.ceil(u_all * buckets).astype(int) - 1
     counts = np.zeros(buckets, dtype=np.int64)
-    means = np.zeros(buckets)
-    variances = np.zeros(buckets)
-    se_means = np.zeros(buckets)
-    se_vars = np.zeros(buckets)
+    means, variances, se_means, se_vars = np.zeros((4, buckets))
     for b in range(buckets):
         sel = z_all[idx == b]
         counts[b] = sel.size
@@ -404,14 +406,13 @@ def empirical_single_card(n, a, reps, seed=12345, stream_base=1, buckets=50):
     )
 
 
-def check_conditional_bands(stats, mean_slack=2.0, var_bound=9.0, sigmas=3.0):
+def check_conditional_bands(stats):
     """Check each U-bucket against the idealized landing map.
 
     The conditional mean must lie in
-    [(1 - mean_slack/n) g(a, u_lo) - sigmas * se,
-     (1 + mean_slack/n) g(a, u_hi) + sigmas * se]
+    [(1 - 2/n) g(a, u_lo) - 3 se, (1 + 2/n) g(a, u_hi) + 3 se]
     (band edges evaluated at the bucket edges since g is increasing), and
-    the conditional variance must stay below var_bound/n + sigmas * se.
+    the conditional variance must stay below 9/n + 3 se.
     Returns (mean_failures, var_failures) as lists of bucket indices.
     """
     n, a = stats.n, stats.a
@@ -421,11 +422,11 @@ def check_conditional_bands(stats, mean_slack=2.0, var_bound=9.0, sigmas=3.0):
             continue
         ulo = max(stats.bucket_edges[b], 1.0 / n)
         uhi = stats.bucket_edges[b + 1]
-        lo = (1.0 - mean_slack / n) * g(a, ulo) - sigmas * stats.se_means[b]
-        hi = (1.0 + mean_slack / n) * g(a, uhi) + sigmas * stats.se_means[b]
+        lo = (1.0 - 2.0 / n) * g(a, ulo) - 3.0 * stats.se_means[b]
+        hi = (1.0 + 2.0 / n) * g(a, uhi) + 3.0 * stats.se_means[b]
         if not lo <= stats.means[b] <= hi:
             mean_fail.append(b)
-        if not stats.variances[b] < var_bound / n + sigmas * stats.se_vars[b]:
+        if not stats.variances[b] < 9.0 / n + 3.0 * stats.se_vars[b]:
             var_fail.append(b)
     return mean_fail, var_fail
 
@@ -463,6 +464,13 @@ class TestStatistic:
         """Value on the sorted deck (cards at their own positions)."""
         return self.phi[self.mask].sum()
 
+    def stationary(self):
+        """Exact mean and variance of S on a uniform deck: the m positive-part
+        cards hold a uniform m-subset of the grid, so S sums m values of phi
+        drawn without replacement (finite-population sampling)."""
+        n, m = self.n, int(self.mask.sum())
+        return m * self.phi.mean(), m * (n - m) / max(n - 1, 1) * self.phi.var()
+
 
 @dataclass
 class StatTrajectory:
@@ -486,15 +494,12 @@ class StatTrajectory:
     r_hat_signed: float
     signed_window: int
     tau: int
-    mean_abs_inf: float
     var_inf: float
     separation_margin: float
 
     def to_rows(self):
-        rows = []
-        for t in range(len(self.mean_abs)):
-            rows.append((t, self.mean_abs[t], self.var_s[t], self.reps))
-        return rows
+        return [(t, m, v, self.reps)
+                for t, (m, v) in enumerate(zip(self.mean_abs, self.var_s))]
 
     def summary(self):
         return {
@@ -510,8 +515,7 @@ class StatTrajectory:
         }
 
 
-def run_lower_bound_experiment(n, rounds, reps, phi, lam, seed=12345,
-                               stream_base=1):
+def run_lower_bound_experiment(n, rounds, reps, phi, lam, seed=12345):
     """Replicated CCRR runs tracking the test statistic's decay.
 
     Records E|S_t| and Var(S_t) per round; r_hat, the geometric-mean
@@ -520,8 +524,8 @@ def run_lower_bound_experiment(n, rounds, reps, phi, lam, seed=12345,
     fitted on the signed mean E[S_t] = lam^t S_0 over the rounds where it
     stays above 4 standard errors; tau = floor(log n / 9 log(1/|lam|))
     and the separation margin E|S_tau| / (3 (sd(S_tau) + sd(S_inf))).
-    The stationary reference evaluates the same statistic on uniform
-    decks drawn from streams offset by ``reps``.
+    Replicate r draws from RngStream(seed, 1 + r); Var(S_inf) is the
+    closed form of ``TestStatistic.stationary``.
     """
     if reps < 2:
         raise ValueError("experiment needs reps >= 2 for a sample variance")
@@ -532,46 +536,23 @@ def run_lower_bound_experiment(n, rounds, reps, phi, lam, seed=12345,
         raise ValueError("phi must live on the same grid as the experiment")
     lam = abs(complex(lam))
 
-    values = np.empty((rounds + 1, reps))
-    for done in range(0, reps, CHUNK_ROWS):
-        r = min(CHUNK_ROWS, reps - done)
-        sim = BatchCcrr(n, r, seed, rounds, stream_base + done)
-        values[0, done : done + r] = stat.s0()
-        for t in range(1, rounds + 1):
-            sim.run_round()
-            values[t, done : done + r] = stat.from_positions(sim.positions())
-    mean_abs = np.abs(values).mean(axis=1)
-    mean_signed = values.mean(axis=1)
-    var_s = values.var(axis=1, ddof=1)
-    var_s[0] = 0.0  # S_0 is a deterministic function of the start deck
-    mean_abs[0] = abs(stat.s0())
-    mean_signed[0] = stat.s0()
-
-    pos_inf = uniform_positions(n, reps, seed, stream_base + reps)
-    s_inf = stat.from_positions(pos_inf)
-    mean_abs_inf = float(np.abs(s_inf).mean())
-    var_inf = float(s_inf.var(ddof=1))
+    values = ccrr_rounds(n, rounds, reps, seed, stat.from_positions)
+    s0 = stat.s0()  # a deterministic function of the start deck
+    mean_abs = np.r_[abs(s0), np.abs(values).mean(axis=1)]
+    mean_signed = np.r_[s0, values.mean(axis=1)]
+    var_s = np.r_[0.0, values.var(axis=1, ddof=1)]
+    var_inf = float(stat.stationary()[1])
 
     lo, hi = 1, min(5, rounds)
-    if hi >= lo:
-        r_hat = float((mean_abs[hi] / mean_abs[lo - 1]) ** (1.0 / (hi - lo + 1)))
-    else:
-        r_hat = float("nan")
+    r_hat = float((mean_abs[hi] / mean_abs[0]) ** (1.0 / hi)) if hi else math.nan
 
     # signal-dominated window: signed mean above 4 standard errors
     se = np.sqrt(var_s / reps)
     win = 0
-    for t in range(1, rounds + 1):
-        if np.abs(mean_signed[t]) > 4.0 * se[t]:
-            win = t
-        else:
-            break
-    if win >= 1:
-        r_hat_signed = float(
-            (abs(mean_signed[win]) / abs(mean_signed[0])) ** (1.0 / win)
-        )
-    else:
-        r_hat_signed = float("nan")
+    while win < rounds and abs(mean_signed[win + 1]) > 4.0 * se[win + 1]:
+        win += 1
+    r_hat_signed = (float((abs(mean_signed[win]) / abs(s0)) ** (1.0 / win))
+                    if win else math.nan)
 
     tau = int(math.log(n) / (9.0 * math.log(1.0 / lam))) if 0 < lam < 1 else 0
     tau = min(tau, rounds)
@@ -582,5 +563,5 @@ def run_lower_bound_experiment(n, rounds, reps, phi, lam, seed=12345,
         n=n, reps=reps, lam=lam, mean_abs=mean_abs, mean_signed=mean_signed,
         var_s=var_s, fit_window=(lo, hi), r_hat=r_hat,
         r_hat_signed=r_hat_signed, signed_window=win, tau=tau,
-        mean_abs_inf=mean_abs_inf, var_inf=var_inf, separation_margin=separation,
+        var_inf=var_inf, separation_margin=separation,
     )

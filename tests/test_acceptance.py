@@ -336,15 +336,16 @@ def test_criterion_8_adjacent_row_tv(kernel_1e3):
 def test_criterion_9a_decay_fit(experiment_2000):
     # The signed mean is the asserted quantity because phi is an eigenvector
     # of B, so E[S_t] = lambda^t * S_0 decays geometrically at |lambda|.
-    # E|S_t| is only reported: at n = 2000 it reaches the stationary floor
-    # E|S_inf| by round 3, after which its ratio measures noise, not lambda.
+    # E|S_t| is only reported: at n = 2000 it reaches the stationary floor,
+    # of order sd(S_inf), by round 3, after which its ratio measures noise,
+    # not lambda.
     traj, lam, _ = experiment_2000
     ok = abs(traj.r_hat_signed - lam) <= 0.03 and traj.signed_window >= 3
     report(
         "9a (decay fit over rounds 1..5)", ok,
         f"r_hat_signed={traj.r_hat_signed:.4f} over {traj.signed_window} "
         f"rounds (>=3) vs |lambda|={lam:.4f} (+-0.03); E|S_t| fit "
-        f"r_hat={traj.r_hat:.4f}, floor E|S_inf|={traj.mean_abs_inf:.3f}",
+        f"r_hat={traj.r_hat:.4f}, floor sd(S_inf)={math.sqrt(traj.var_inf):.3f}",
     )
     assert ok, (
         f"signed-mean fit r_hat_signed={traj.r_hat_signed:.4f} over "

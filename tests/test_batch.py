@@ -233,6 +233,36 @@ class TestBatchCcrrEquivalence:
         assert BatchCcrr(5, 2, 0, 0).positions().tolist() == [[1, 2, 3, 4, 5]] * 2
 
 
+class TestCcrrRounds:
+    @pytest.mark.parametrize("chunk_rows", [3, 4096])
+    def test_readings_match_sequential_decks(self, monkeypatch, chunk_rows):
+        # replicate r on stream 1 + r in every chunk; read after rounds
+        # 1..rounds only, once per round per chunk
+        monkeypatch.setattr(batch, "CHUNK_ROWS", chunk_rows)
+        n, rounds, reps, seed = 9, 3, 7, 21
+        calls = []
+
+        def read(pos):
+            calls.append(len(pos))
+            return pos[:, 4]
+
+        got = batch.ccrr_rounds(n, rounds, reps, seed, read)
+        assert got.shape == (rounds, reps) and got.dtype == np.float64
+        per_chunk = [min(chunk_rows, reps - d) for d in range(0, reps, chunk_rows)]
+        assert calls == [r for r in per_chunk for _ in range(rounds)]
+        for r in range(reps):
+            deck, rng = Deck.identity(n), RngStream(seed, 1 + r)
+            for t in range(rounds):
+                run_round(deck, ShuffleKind.CCRR, rng)
+                assert got[t, r] == deck.position_of(5)
+
+    def test_no_rounds_reads_nothing(self):
+        def read(pos):
+            raise AssertionError("read the start deck")
+
+        assert batch.ccrr_rounds(5, 0, 4, 1, read).shape == (0, 4)
+
+
 class TestUniformPositions:
     def test_valid_and_deterministic(self):
         a = uniform_positions(9, 20, 77)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import shlex
@@ -8,6 +9,7 @@ import pytest
 
 from shuffle_spectra import batch, build_kernel, cli, kernel_from_binary
 from shuffle_spectra.cli import main
+from shuffle_spectra.ideal import KERNEL_MAGIC
 
 
 def run_cli(args):
@@ -193,7 +195,6 @@ class TestSimulateCmd:
         assert run_cli(args + ["--out", str(whole)]) == 0
         # chunks of 12, 12, 12 and 4 replicates; the last runs its rounds
         # in a block of 3 and one of 1
-        monkeypatch.setattr(cli, "CHUNK_ROWS", 12)
         monkeypatch.setattr(batch, "CHUNK_ROWS", 12)
         assert run_cli(args + ["--out", str(chunked)]) == 0
         assert whole.read_bytes() == chunked.read_bytes()
@@ -260,7 +261,7 @@ class TestSimulateCmd:
         def simulate(*args, **kwargs):
             raise AssertionError("simulated before validating --reps")
 
-        monkeypatch.setattr(cli, "BatchCcrr", simulate)
+        monkeypatch.setattr(cli, "ccrr_rounds", simulate)
         monkeypatch.setattr(cli, "run_round", simulate)
         assert run_cli(["simulate", "--kind", kind, "--n", "10", "--rounds", "2",
                         "--reps", "1", "--stat", "positions"]) == 2
@@ -280,6 +281,18 @@ class TestSimulateCmd:
 
     def test_unknown_kind(self):
         assert run_cli(["simulate", "--kind", "riffle", "--n", "10"]) == 2
+
+    @pytest.mark.parametrize("kind", ["ccrr", "top"])
+    def test_positions_json_is_a_usage_error(self, kind, monkeypatch, capsys):
+        # the positions table is CSV only; it is refused before any work
+        def simulate(*args, **kwargs):
+            raise AssertionError("simulated before validating --format")
+
+        monkeypatch.setattr(cli, "ccrr_rounds", simulate)
+        monkeypatch.setattr(cli, "run_round", simulate)
+        assert run_cli(["simulate", "--kind", kind, "--n", "5", "--rounds", "1",
+                        "--reps", "3", "--format", "json"]) == 2
+        assert "--stat positions writes CSV only" in capsys.readouterr().err
 
 
 class TestExactCmd:
@@ -354,6 +367,54 @@ class TestHelp:
     def test_seed_only_where_it_is_used(self, args):
         assert run_cli([*args, "--seed", "1"]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["gcurve", "--b", "0.5", "--format", "json"],
+        ["eigen", "--n", "20", "--operator", "S", "--format", "csv"],
+        ["singlecard", "--n", "10", "--reps", "5", "--format", "json"],
+    ])
+    def test_format_only_where_it_is_used(self, args, capsys):
+        assert run_cli(args) == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
+# tiny runs of every subcommand that takes --format
+TINY = {
+    "kernel": ["--n", "4"],
+    "simulate": ["--n", "40", "--rounds", "1", "--reps", "3", "--stat", "S"],
+    "exact": ["--n", "3", "--rounds", "1"],
+}
+
+
+def _format_choices():
+    """(subcommand, format) for every --format choice the parser accepts."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(name, fmt) for name, p in sub.choices.items()
+            for a in p._actions if "--format" in a.option_strings
+            for fmt in a.choices]
+
+
+class TestEveryFormatIsWritten:
+    def test_walk_finds_the_formats(self):
+        assert set(_format_choices()) == {
+            ("kernel", "csv"), ("kernel", "bin"), ("simulate", "csv"),
+            ("simulate", "json"), ("exact", "csv"), ("exact", "json")}
+
+    @pytest.mark.parametrize("cmd, fmt", _format_choices())
+    def test_output_has_the_format(self, tmp_path, cmd, fmt):
+        out = tmp_path / "out"
+        assert run_cli([cmd, *TINY[cmd], "--format", fmt, "--out", str(out)]) == 0
+        data = out.read_bytes()
+        if fmt == "bin":
+            assert data.startswith(KERNEL_MAGIC)
+        elif fmt == "json":
+            assert isinstance(json.loads(data), dict)
+        else:
+            lines = data.decode("utf-8").splitlines()
+            # a table opens with the schema line; the kernel is a bare n x n matrix
+            assert lines[0] == cli.SCHEMA_LINE or all(
+                len(line.split(",")) == len(lines) > 1 for line in lines)
+
 
 class TestSeedRange:
     # a seed is one 64-bit word of the Philox key
@@ -369,7 +430,7 @@ class TestSeedRange:
         def work(*a, **k):
             raise AssertionError("worked before validating --seed")
 
-        for name in ("empirical_single_card", "BatchCcrr", "run_round",
+        for name in ("empirical_single_card", "ccrr_rounds", "run_round",
                      "second_eig_b", "second_eig_sym", "build_kernel",
                      "exact_round_push"):
             monkeypatch.setattr(cli, name, work)

@@ -21,7 +21,7 @@ from shuffle_spectra import (
     tv_to_uniform,
     uniform_positions,
 )
-from shuffle_spectra import mixing
+from shuffle_spectra import batch, mixing
 from shuffle_spectra.batch import batch_round_positions
 from shuffle_spectra.mixing import all_perms, perm_rank, rank_rows
 
@@ -287,6 +287,15 @@ class TestEmpiricalSingleCard:
         with pytest.raises(ValueError):
             empirical_single_card(10, 2.0, 5)
 
+    @pytest.mark.parametrize("reps", [0, -3])
+    def test_reps_checked_before_any_work(self, monkeypatch, reps):
+        def draw(*args, **kwargs):
+            raise AssertionError("drew before validating reps")
+
+        monkeypatch.setattr(mixing, "ReplicateStreams", draw)
+        with pytest.raises(ValueError, match="reps"):
+            empirical_single_card(10, 0.5, reps)
+
     def test_counts_and_histogram_consistent(self):
         stats = empirical_single_card(50, 0.5, 2000, seed=1)
         assert stats.counts.sum() == 2000
@@ -309,15 +318,30 @@ class TestStatisticAndExperiment:
         assert stat.s0() == pytest.approx(stat.phi[stat.mask].sum())
         assert stat.from_positions(np.arange(1, 5)) == pytest.approx(stat.s0())
 
-    def test_stationary_mean_near_zero(self):
+    def test_stationary_moments_match_uniform_decks(self):
+        # the closed form against its Monte Carlo oracle: 10,000 uniform decks
         n = 200
         k = build_kernel(n)
         est = second_eig_b(k.matvec, n)
         stat = mixing.TestStatistic(np.real(est.vector))
-        pos = uniform_positions(n, 10_000, seed=9)
-        vals = stat.from_positions(pos)
-        se = vals.std(ddof=1) / np.sqrt(len(vals))
-        assert abs(vals.mean()) < 3 * se + 1e-12
+        mean, var = stat.stationary()
+        vals = stat.from_positions(uniform_positions(n, 10_000, seed=9))
+        size = len(vals)
+        se_mean = vals.std(ddof=1) / np.sqrt(size)
+        dev = vals - vals.mean()
+        se_var = np.sqrt((np.mean(dev**4) - vals.var() ** 2) / size)
+        assert abs(vals.mean() - mean) < 4 * se_mean
+        assert abs(vals.var(ddof=1) - var) < 4 * se_var
+
+    def test_stationary_moments_by_enumeration(self):
+        # every placement of the positive-part cards, weighted equally
+        phi = np.array([0.9, -0.3, 0.4, -0.8, 0.2, 0.1])
+        stat = mixing.TestStatistic(phi)
+        m = int(stat.mask.sum())
+        sums = [stat.phi[list(c)].sum() for c in itertools.combinations(range(6), m)]
+        mean, var = stat.stationary()
+        assert mean == pytest.approx(np.mean(sums), abs=1e-15)
+        assert var == pytest.approx(np.var(sums), abs=1e-15)
 
     def test_zero_rounds_deterministic(self):
         n = 60
@@ -356,6 +380,34 @@ class TestStatisticAndExperiment:
         summary = traj.summary()
         assert {"r_hat", "tau", "separation_margin", "lambda"} <= set(summary)
 
+    def test_var_inf_is_the_closed_form(self):
+        n = 50
+        est = second_eig_b(build_kernel(n).matvec, n)
+        phi = np.real(est.vector)
+        traj = run_lower_bound_experiment(n, 2, 100, phi, abs(est.value), seed=3)
+        phi = phi / np.linalg.norm(phi)
+        m = np.count_nonzero(phi > 0)
+        want = m * (n - m) / (n - 1) * np.mean((phi - phi.mean()) ** 2)
+        assert traj.var_inf == pytest.approx(want, rel=1e-13)
+        assert traj.separation_margin == pytest.approx(
+            traj.mean_abs[traj.tau]
+            / (3 * (math.sqrt(traj.var_s[traj.tau]) + math.sqrt(want))), rel=1e-13)
+
+    def test_no_stationary_monte_carlo(self, monkeypatch):
+        # the stationary side is exact: no uniform deck, no RngStream
+        from shuffle_spectra import batch, deck
+
+        def draw(*args, **kwargs):
+            raise AssertionError("drew a uniform deck")
+
+        for mod in (batch, mixing):
+            monkeypatch.setattr(mod, "uniform_positions", draw)
+        for mod in (batch, deck):
+            monkeypatch.setattr(mod, "RngStream", draw)
+        traj = run_lower_bound_experiment(30, 2, 20, np.linspace(-1, 1, 30), 0.2,
+                                          seed=4)
+        assert traj.var_inf > 0
+
     def test_complex_phi_rejected(self):
         with pytest.raises(ValueError):
             run_lower_bound_experiment(8, 1, 10, np.ones(8) * 1j, 0.2)
@@ -370,7 +422,7 @@ class TestStatisticAndExperiment:
         # replicate r draws from stream base + r whichever pass it is in
         phi = np.linspace(-1, 1, 30)
         whole = run_lower_bound_experiment(30, 3, 50, phi, 0.2, seed=8)
-        monkeypatch.setattr(mixing, "CHUNK_ROWS", 7)
+        monkeypatch.setattr(batch, "CHUNK_ROWS", 7)
         chunked = run_lower_bound_experiment(30, 3, 50, phi, 0.2, seed=8)
         for field in dataclasses.fields(whole):
             a, b = getattr(whole, field.name), getattr(chunked, field.name)
