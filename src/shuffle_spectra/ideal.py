@@ -390,7 +390,10 @@ def y_distribution(n, a, t, max_n=500):
 
 
 def kernel_to_csv(kernel, path):
-    """Write the kernel row-major as CSV, one row per line, full precision."""
+    """Write the kernel row-major as CSV, one row per line, full precision.
+
+    The file is the bare n x n matrix: no schema or config comment line.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in kernel.probs:
             fh.write(",".join(f"{x:.17g}" for x in row))

@@ -5,18 +5,16 @@ indexed by the lexicographic rank of the deck order.  Every shuffle's
 round is n steps, and each step is a fixed set of equally likely moves on
 the current order: remove card k (CCR) or the top card and reinsert it at
 a uniform slot, swap position k with a uniform position (cyclic-to-random),
-or swap a uniform pair of positions (random transpositions).  One step
-engine tabulates, per step, the order rank every move reaches and pushes a
-distribution through the round by scatter-adds: rational arithmetic at
-n <= 5, double precision at n in {6, 7}.  A CCRR round processes cards in
-the order they hold when it starts, so it is position-driven: the card in
-start-of-round position k lands in position F(k) for a random map F whose
-law does not depend on the deck.  That law is one round of steps from the
-sorted deck (where CCRR's round is CCR's), inverted, and a CCRR push is
-the convolution q'(o') = sum_F P(F) q(o' o F), read through the Cayley
-table of S_n (row j gathers q at o o p_j for every order o; built once per
-n).  The exact layer shares no code with the Monte Carlo kernel, so each
-checks the other.
+or swap a uniform pair of positions (random transpositions).  A CCRR round
+processes cards in the order they hold when it starts, so step k moves the
+topmost card not yet moved this round; its state also carries the set of
+positions that hold moved cards.  One step engine tabulates, per step, the
+state every move reaches and pushes a distribution through the round by
+scatter-adds: integer counts at n <= 5 (one Fraction per order per round),
+double precision at n in {6, 7}.  The law of CCRR's one-round position map
+(the card in start-of-round position k lands in position F(k)) is one
+round from the sorted deck, inverted.  The exact layer shares no code with
+the Monte Carlo kernel, so each checks the other.
 
 Monte Carlo machinery (large n).  Replicated CCRR rounds from the sorted
 deck give the empirical single-card law conditioned on the card's own
@@ -120,6 +118,8 @@ class PermDistribution:
 
     @classmethod
     def point_mass(cls, n, order=None, exact=None):
+        if order is not None and sorted(order) != list(range(1, n + 1)):
+            raise ValueError("order must be a permutation of 1..n")
         if n > ENUM_N_MAX:
             raise CapabilityError(f"exact distributions capped at n <= {ENUM_N_MAX}")
         exact = (n <= EXACT_N_MAX) if exact is None else exact
@@ -170,92 +170,109 @@ def tv_to_uniform(dist):
 # exact rounds: one step engine
 # --------------------------------------------------------------------------
 
-_TARGETS_CACHE: dict = {}
+_STEPS_CACHE: dict = {}
 _LAW_CACHE: dict = {}
-_TABLE_CACHE: dict = {}
 
 
-def _step_targets(n, kind, k):
-    """Rank reached by each equally likely move of step k, per order rank.
+def _moved_ranks(perms, src):
+    """Entry (r, c): rank of the order that move c makes from the order of
+    rank r, where src[c, q] is the position whose card move c puts in q."""
+    moved = perms[:, src].reshape(-1, perms.shape[1])
+    return rank_rows(moved).astype(np.int32).reshape(perms.shape[0], -1)
 
-    Entry (r, c) is the rank of the order that move c makes from the order
-    of rank r.  The moves: remove card k (CCR; CCRR from the sorted deck)
-    or the top card and reinsert it at slot 1..n; swap position k with
-    position 1..n (cyclic); swap positions i and j over all n^2 pairs
-    (transpositions).
+
+def _round_steps(n, kind):
+    """The targets of each of a round's n steps.
+
+    Entry (s, c) of a step's targets is the state that move c makes from
+    state s, and the states after a step are the next step's rows (n! after
+    the last).  For CCR, top-to-random, cyclic-to-random and transpositions
+    a state is an order rank, and the moves are: remove card k (CCR) or the
+    top card and reinsert it at slot 1..n; swap position k with position
+    1..n (cyclic); swap positions i and j over all n^2 pairs.  A CCRR round
+    moves cards in their start-of-round order, and a move keeps the relative
+    order of the cards not yet moved, so step k moves the topmost card not
+    yet moved.  Its state before step k is (set of the k - 1 positions
+    holding moved cards, order rank), laid out as the set's index among the
+    (k-1)-subsets times n! plus the rank.
     """
-    if kind is ShuffleKind.CCRR:
-        kind = ShuffleKind.CCR
-    if kind in (ShuffleKind.TOP_TO_RANDOM, ShuffleKind.RANDOM_TRANSPOSITIONS):
-        k = 0  # the same moves at every step
-    key = (n, kind, k)
-    if key not in _TARGETS_CACHE:
+    key = (n, kind)
+    if key not in _STEPS_CACHE:
         perms = all_perms(n)
         q = np.arange(n)
-        # src[..., c, q]: the position whose card move c puts in position q
         if kind in (ShuffleKind.CYCLIC_TO_RANDOM, ShuffleKind.RANDOM_TRANSPOSITIONS):
+            # move c swaps positions a and b, (a, b) = divmod(c, n)
+            a, b = (x[:, None] for x in np.divmod(np.arange(n * n), n))
+            swaps = _moved_ranks(perms, np.where(q == a, b, np.where(q == b, a, q)))
             if kind is ShuffleKind.CYCLIC_TO_RANDOM:
-                a, b = np.full(n, k - 1), np.arange(n)
+                steps = [swaps[:, k * n : (k + 1) * n].copy() for k in range(n)]
             else:
-                a, b = np.divmod(np.arange(n * n), n)
-            a, b = a[:, None], b[:, None]
-            src = np.where(q == a, b, np.where(q == b, a, q))[None]
+                steps = [swaps] * n
         else:
             # the card in position p moves to position t; the rest close up
             p, t = q[:, None, None], q[None, :, None]
             r = q - (q > t)
             src = np.where(q == t, p, r + (r >= p))
-            if kind is ShuffleKind.CCR:
-                src = src[(perms == k - 1).argmax(axis=1)]  # card k's position
+            if kind is ShuffleKind.TOP_TO_RANDOM:
+                steps = [_moved_ranks(perms, src[0])] * n
             else:
-                src = src[:1]  # the top card
-        moved = perms[np.arange(perms.shape[0])[:, None, None], src]
-        _TARGETS_CACHE[key] = rank_rows(moved.reshape(-1, n)).reshape(perms.shape[0], -1)
-    return _TARGETS_CACHE[key]
+                reinsert = np.stack([_moved_ranks(perms, s) for s in src], axis=1)
+                if kind is ShuffleKind.CCR:  # card k's position
+                    rows = np.arange(perms.shape[0])
+                    steps = [reinsert[rows, (perms == k).argmax(axis=1)] for k in range(n)]
+                else:
+                    steps = _ccrr_steps(n, reinsert)
+        _STEPS_CACHE[key] = steps
+    return _STEPS_CACHE[key]
+
+
+def _ccrr_steps(n, reinsert):
+    """CCRR's step targets, from reinsert[r, p, t]: the rank of the order
+    that moving the card in position p of order r to position t makes."""
+    size = reinsert.shape[0]
+    subsets = [[sum(1 << i for i in c) for c in itertools.combinations(range(n), j)]
+               for j in range(n + 1)]
+    steps = []
+    for j in range(n):  # j cards moved before the step
+        index = {mask: i for i, mask in enumerate(subsets[j + 1])}
+        lowest, after = [], []
+        for mask in subsets[j]:
+            p = next(i for i in range(n) if not mask >> i & 1)
+            held = [s - (s > p) for s in range(n) if mask >> s & 1]
+            lowest.append(p)
+            after.append([index[sum(1 << (s + (s >= t)) for s in held) | 1 << t]
+                          for t in range(n)])
+        after = np.array(after, dtype=np.int32)[:, None, :] * size
+        steps.append((after + reinsert[:, lowest].transpose(1, 0, 2)).reshape(-1, n))
+    return steps
 
 
 def _step_round(probs, n, kind):
     """Push order probabilities through one round of n steps.
 
-    Each step spreads every order's mass evenly over its moves' targets:
-    np.add.at for Fractions, np.bincount for float64.
+    Each step spreads every state's mass evenly over its moves' targets.
+    Fractions are pushed as integer counts over the input's common
+    denominator (np.add.at on Python ints) and divided once at the end, by
+    that denominator times moves^n; float64 is pushed by np.bincount and
+    divided by the number of moves at each step.
     """
-    for k in range(1, n + 1):
-        targets = _step_targets(n, kind, k)
+    exact = probs.dtype == object
+    if exact:
+        den = math.lcm(*(p.denominator for p in probs))
+        probs = np.array([p.numerator * (den // p.denominator) for p in probs], dtype=object)
+    steps = _round_steps(n, kind)
+    for targets, size in zip(steps, [t.shape[0] for t in steps[1:]] + [probs.size]):
         m = targets.shape[1]
-        if probs.dtype == object:
-            out = np.full(probs.size, Fraction(0), dtype=object)
-            np.add.at(out, targets.ravel(), np.repeat(probs / m, m))
+        if exact:
+            probs, counts = np.zeros(size, dtype=object), probs
+            np.add.at(probs, targets.ravel(), np.repeat(counts, m))
         else:
-            out = np.bincount(targets.ravel(), weights=np.repeat(probs, m),
-                              minlength=probs.size) / m
-        probs = out
+            probs = np.bincount(targets.ravel(), weights=np.repeat(probs, m),
+                                minlength=size) / m
+    if exact:
+        den *= m**n
+        probs = np.array([Fraction(c, den) for c in probs], dtype=object)
     return probs
-
-
-def _cayley_table(n):
-    """Composition table of S_n: table[j][i] = rank(p_i o p_j), as uint16.
-
-    Row 0 is the identity.  Every other p_j has a descent at some s, and
-    p_j o s ranks below j.  With g = rank_rows(perms[:, s]), which sends
-    rank(p) to rank(p o s), p_i o p_j = (p_i o (p_j o s)) o s makes row j
-    g[table[g[j]]], so the rows fill in rank order.
-    """
-    if n not in _TABLE_CACHE:
-        perms = all_perms(n)
-        size = perms.shape[0]
-        gathers = []
-        for s in range(n - 1):
-            swap = np.arange(n)
-            swap[[s, s + 1]] = s + 1, s
-            gathers.append(rank_rows(perms[:, swap]).astype(np.uint16))
-        table = np.empty((size, size), dtype=np.uint16)
-        table[0] = np.arange(size)
-        for j in range(1, size):
-            g_s = gathers[np.argmax(perms[j, :-1] > perms[j, 1:])]  # first descent
-            table[j] = g_s[table[g_s[j]]]
-        _TABLE_CACHE[n] = table
-    return _TABLE_CACHE[n]
 
 
 def round_position_law(n, kind):
@@ -285,28 +302,12 @@ def round_position_law(n, kind):
 
 
 def exact_round_push(dist, kind):
-    """Exact one-round pushforward of a distribution on S_n.
-
-    CCR, top-to-random, cyclic-to-random and random transpositions step the
-    distribution move by move.  A CCRR round's schedule is the order at its
-    start, so CCRR convolves with the cached position-map law instead:
-    q'(o') = sum_F P(F) q(o' o F), one Cayley-table row per map F.
-    """
+    """Exact one-round pushforward of a distribution on S_n, step by step."""
     kind = ShuffleKind(kind)
     n = dist.n
     if n > ENUM_N_MAX:
         raise CapabilityError(f"exact pushforward capped at n <= {ENUM_N_MAX}")
-    if kind is not ShuffleKind.CCRR:
-        return PermDistribution(n=n, probs=_step_round(dist.probs, n, kind),
-                                exact=dist.exact)
-
-    law = round_position_law(n, kind)
-    if dist.exact and not law.exact:
-        raise CapabilityError("exact distribution with inexact law; lower n")
-    law_probs = law.probs if dist.exact else law.as_floats()
-    table = _cayley_table(n)
-    out = sum(law_probs[j] * dist.probs[table[j]] for j in np.flatnonzero(law_probs))
-    return PermDistribution(n=n, probs=out, exact=dist.exact)
+    return PermDistribution(n=n, probs=_step_round(dist.probs, n, kind), exact=dist.exact)
 
 
 def exact_single_card_kernel(n, kind):

@@ -409,11 +409,11 @@ class TestEveryFormatIsWritten:
             assert data.startswith(KERNEL_MAGIC)
         elif fmt == "json":
             assert isinstance(json.loads(data), dict)
-        else:
+        elif cmd == "kernel":  # a bare n x n matrix, no comment lines
             lines = data.decode("utf-8").splitlines()
-            # a table opens with the schema line; the kernel is a bare n x n matrix
-            assert lines[0] == cli.SCHEMA_LINE or all(
-                len(line.split(",")) == len(lines) > 1 for line in lines)
+            assert [len(line.split(",")) for line in lines] == [4] * 4
+        else:
+            assert data.decode("utf-8").splitlines()[0] == cli.SCHEMA_LINE
 
 
 class TestSeedRange:
