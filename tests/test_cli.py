@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shuffle_spectra import batch, build_kernel, cli, kernel_from_binary
+from shuffle_spectra import GridKernel, batch, build_kernel, cli, kernel_from_binary
 from shuffle_spectra.cli import main
 from shuffle_spectra.ideal import KERNEL_MAGIC
 
@@ -116,6 +116,45 @@ class TestEigenCmd:
         second = w[np.argsort(-np.abs(w))][1]
         assert payload["value_re"] == pytest.approx(second, abs=1e-8)
 
+    @pytest.mark.parametrize("op, solver, apply", [
+        ("S", "second_eig_sym", "sym_matvec"), ("D", "skew_norm", "skew_matvec"),
+        ("B", "second_eig_b", "matvec")])
+    def test_operator_solve_matches_the_dense_solve(self, tmp_path, op, solver, apply):
+        # eigen solves on the O(n) operator; the same solver on the dense
+        # B(n)'s applies must reach the same value, and the JSON residual
+        # is ||A v - lambda v|| on the dense B(n) for the written vector
+        out, vec = tmp_path / "e.json", tmp_path / "v.csv"
+        assert run_cli(["eigen", "--n", "200", "--operator", op, "--out", str(out),
+                        "--vector-out", str(vec)]) == 0
+        payload = json.loads(out.read_text())
+        value = complex(payload["value_re"], payload["value_im"])
+        kernel = build_kernel(200)
+        dense = getattr(cli, solver)(getattr(kernel, apply), 200, tol=1e-10,
+                                     seed=cli.DEFAULT_SEED)
+        assert abs(value - dense.value) <= 1e-12
+        _, _, rows = read_csv(vec)
+        v = np.array([float(re) + 1j * float(im) for _, re, im in rows])
+        if op != "D":
+            v, value = v.real, value.real
+        res = np.linalg.norm(getattr(kernel, apply)(v) - value * v)
+        assert payload["residual"] == pytest.approx(res, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("op", ["S", "D", "B"])
+    def test_one_dense_apply(self, tmp_path, monkeypatch, op):
+        # the dense kernel only checks the residual: one apply per run
+        calls = []
+        for name in ("matvec", "rmatvec", "sym_matvec", "skew_matvec"):
+            real = getattr(GridKernel, name)
+
+            def counted(self, v, real=real):
+                calls.append(real.__name__)
+                return real(self, v)
+
+            monkeypatch.setattr(GridKernel, name, counted)
+        assert run_cli(["eigen", "--n", "200", "--operator", op,
+                        "--out", str(tmp_path / "e.json")]) == 0
+        assert len(calls) == 1
+
     def test_vector_out(self, tmp_path):
         vec = tmp_path / "v.csv"
         run_cli(["eigen", "--n", "40", "--operator", "D", "--out",
@@ -132,18 +171,20 @@ class TestEigenCmd:
                                       ["--tol", "inf"]])
     def test_solver_limits_checked_before_building(self, monkeypatch, flag):
         def build(*args, **kwargs):
-            raise AssertionError("built the kernel before validating")
+            raise AssertionError("built a kernel before validating")
 
         monkeypatch.setattr(cli, "build_kernel", build)
+        monkeypatch.setattr(cli, "MatrixFreeKernel", build)
         assert run_cli(["eigen", "--n", "50", "--operator", "S", *flag]) == 2
 
     @pytest.mark.parametrize("op", ["S", "B"])
     def test_second_eigenvalue_needs_two_cards(self, monkeypatch, op, capsys):
         # a 1x1 operator has no second eigenvalue to report
         def build(*args, **kwargs):
-            raise AssertionError("built the kernel before validating")
+            raise AssertionError("built a kernel before validating")
 
         monkeypatch.setattr(cli, "build_kernel", build)
+        monkeypatch.setattr(cli, "MatrixFreeKernel", build)
         assert run_cli(["eigen", "--n", "1", "--operator", op]) == 2
         assert "--n >= 2" in capsys.readouterr().err
 
@@ -432,7 +473,7 @@ class TestSeedRange:
 
         for name in ("empirical_single_card", "ccrr_rounds", "run_round",
                      "second_eig_b", "second_eig_sym", "build_kernel",
-                     "exact_round_push"):
+                     "MatrixFreeKernel", "exact_round_push"):
             monkeypatch.setattr(cli, name, work)
         assert run_cli(args) == 2
         assert "argument --seed" in capsys.readouterr().err
