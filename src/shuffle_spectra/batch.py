@@ -23,9 +23,8 @@ Reverse pass.  The final deck is the pure insertion sequence "card k
 enters at rank v_k + 1 among processed cards"; walking k = n..1 and
 claiming the (v_k + 1)-th free slot of a fresh Fenwick tree yields every
 card's final position in O(n log n) per replicate, all replicates in
-lockstep.  A caller that reads one card's final position needs no
-reverse pass: its rank among the processed cards moves down one for each
-later card inserted at or above it (``card_round_positions``).
+lockstep.  A caller that reads card k's final position needs no reverse
+pass, and no tree after step k (``card_round_positions``).
 
 Both passes use one fused descent.  A tree is one flat row-major array,
 node j of replicate c at j * R + c, so each level reads its R nodes with
@@ -53,6 +52,8 @@ tree node is kept in intp whatever the storage width.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import numpy as np
 
@@ -179,21 +180,24 @@ def batch_round_positions(slots, out=None):
 def card_round_positions(slots, k):
     """Final position after one CCRR round of the card processed k-th.
 
-    Equals batch_round_positions(slots)[:, k - 1] from the forward pass
-    alone: card k enters at rank v_k + 1 among the processed cards, and
-    each later card j, entering at rank v_j + 1, pushes it down one when
-    v_j < its rank.  Returns an int32 array with one entry per replicate.
+    Equals batch_round_positions(slots)[:, k - 1] from k forward steps:
+    card k lands at z = u_k, just below skeleton cards k+1..last (last =
+    u_k - 1 + k - v_k), and keeps its order with the cards not yet moved.
+    So each later card j lowers z by one if it leaves from above (j <=
+    last) and raises it by one if it re-enters at u_j <= z.  Returns an
+    int32 array with one entry per replicate.
     """
     slots = _checked(slots).astype(np.int32, copy=False)
-    if not 1 <= k <= slots.shape[1]:
-        raise ValueError(f"card {k} outside 1..{slots.shape[1]}")
-    rank = np.empty(len(slots), dtype=np.int32)
-    for j, v in enumerate(_forward_pass(slots), start=1):
-        if j == k:
-            np.add(v, 1, out=rank)
-        elif j > k:
-            rank += v < rank
-    return rank
+    n = slots.shape[1]
+    if not 1 <= k <= n:
+        raise ValueError(f"card {k} outside 1..{n}")
+    v = next(islice(_forward_pass(slots), k - 1, None))
+    z = slots[:, k - 1].copy()
+    last = z - 1 + k - v
+    for j in range(k + 1, n + 1):
+        z -= last >= j
+        z += z >= slots[:, j - 1]
+    return z
 
 
 class BatchCcrr:

@@ -78,6 +78,20 @@ class TestBatchRoundDescentEdges:
             assert got.dtype == np.int32
             assert np.array_equal(got, fp[:, k - 1])
 
+    @pytest.mark.parametrize("k", [1, 17, 50])
+    def test_one_card_pass_descends_k_times(self, monkeypatch, k):
+        calls = []
+        descend = batch._UnitTrees.descend
+
+        def counted(self, below, delta):
+            calls.append(delta)
+            return descend(self, below, delta)
+
+        monkeypatch.setattr(batch._UnitTrees, "descend", counted)
+        slots = np.random.default_rng(k).integers(1, 51, size=(8, 50))
+        card_round_positions(slots, k)
+        assert len(calls) == k
+
     @pytest.mark.parametrize("k", [0, 6])
     def test_one_card_pass_rejects_a_card_outside_the_deck(self, k):
         with pytest.raises(ValueError):

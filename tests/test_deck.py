@@ -9,6 +9,7 @@ from shuffle_spectra import (
     ReplicateStreams,
     RngStream,
 )
+from shuffle_spectra.deck import _VECTOR_WORDS as _V
 
 
 class TestRemoveInsert:
@@ -37,7 +38,7 @@ class TestRemoveInsert:
             assert d.order == [4, 3, 2, 1]
 
     def test_card_absent(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="card 7 not in deck"):
             Deck([1, 2, 3]).remove_insert(7, 1)
 
     def test_slot_out_of_range(self):
@@ -193,21 +194,25 @@ def _per_stream_draws(seed, base, reps, n, counts):
 
 class TestReplicateStreams:
     # rows with odd counts leave a high half-word for the next call; n = 1
-    # reads no word; n = 2^32 - 1 rejects one word in 2^32
-    @pytest.mark.parametrize("n, counts", [
-        (1, [3, 4]),
-        (6, [6, 5, 6, 6]),
-        (7, [7, 7, 7]),
-        (1000, [1000, 999, 1000]),
-        (2001, [2001, 2001]),  # 131 rows per numpy pass: three passes
-        (2**32 - 1, [5, 6]),
-        (2**32, [3, 3]),
+    # reads no word; n = 2^32 - 1 rejects one word in 2^32; rows of at most
+    # _VECTOR_WORDS draws take the vectorized Philox, longer rows numpy's
+    @pytest.mark.parametrize("n, counts, base", [
+        (1, [3, 4], 3),
+        (6, [6, 5, 6, 6], 3),
+        (7, [7, 7, 7], 3),
+        (1000, [1000, 999, 1000], 3),
+        (2001, [2001, 2001], 3),  # 131 rows per numpy pass: three passes
+        (2**32 - 1, [5, 6], 3),
+        (2**32, [3, 3], 3),
+        (1000, [_V - 1, _V, _V + 1, _V, _V + 1], 3),  # both sides of the switch
+        (3 * 2**29, [13, 11, 13], 3),  # starts diverge after rejections
+        (61, [61, 61], 2**64 - 25),  # the last 25 stream ids
     ])
-    def test_matches_rng_stream_round_after_round(self, n, counts):
+    def test_matches_rng_stream_round_after_round(self, n, counts, base):
         reps = 300 if n == 2001 else 25
-        streams = ReplicateStreams(11, 3, reps)
+        streams = ReplicateStreams(11, base, reps)
         for got, want in zip((streams.slots(n, c) for c in counts),
-                             _per_stream_draws(11, 3, reps, n, counts)):
+                             _per_stream_draws(11, base, reps, n, counts)):
             assert got.shape == want.shape
             assert np.array_equal(got, want)
 
