@@ -8,13 +8,15 @@ a uniform slot, swap position k with a uniform position (cyclic-to-random),
 or swap a uniform pair of positions (random transpositions).  A CCRR round
 processes cards in the order they hold when it starts, so step k moves the
 topmost card not yet moved this round; its state also carries the set of
-positions that hold moved cards.  One step engine tabulates, per step, the
-state every move reaches and pushes a distribution through the round by
-scatter-adds: integer counts at n <= 5 (one Fraction per order per round),
-double precision at n in {6, 7}.  The law of CCRR's one-round position map
-(the card in start-of-round position k lands in position F(k)) is one
-round from the sorted deck, inverted.  The exact layer shares no code with
-the Monte Carlo kernel, so each checks the other.
+positions that hold moved cards.  One step engine pushes a distribution
+through the round by gathers: each move pulls a whole block of n! order
+probabilities through a rank array taken from one table of n^2 (the
+orders that moving one card, or swapping two, makes from every order), in
+integer counts at n <= 5 (one Fraction per order per round), double
+precision at n in {6, 7}.  The law of CCRR's one-round position map (the
+card in start-of-round position k lands in position F(k)) is one round
+from the sorted deck, inverted.  The exact layer shares no code with the
+Monte Carlo kernel, so each checks the other.
 
 Monte Carlo machinery (large n).  Replicated CCRR rounds from the sorted
 deck give the empirical single-card law conditioned on the card's own
@@ -83,13 +85,14 @@ def all_perms(n):
 
 
 def rank_rows(perms):
-    """Lexicographic rank of each row of an array of permutations."""
-    perms = np.asarray(perms)
-    n = perms.shape[1]
-    r = np.zeros(perms.shape[0], dtype=np.int64)
+    """Lexicographic rank of each permutation along the last axis."""
+    cols = np.moveaxis(np.asarray(perms), -1, 0)
+    n = cols.shape[0]
+    r = np.zeros(cols.shape[1:], dtype=np.int64)
     for k in range(n):
-        c = (perms[:, k + 1 :] < perms[:, k : k + 1]).sum(axis=1)
-        r = r * (n - k) + c
+        r *= n - k
+        for j in range(k + 1, n):
+            r += cols[j] < cols[k]
     return r
 
 
@@ -175,100 +178,96 @@ _LAW_CACHE: dict = {}
 
 
 def _moved_ranks(perms, src):
-    """Entry (r, c): rank of the order that move c makes from the order of
-    rank r, where src[c, q] is the position whose card move c puts in q."""
-    moved = perms[:, src].reshape(-1, perms.shape[1])
-    return rank_rows(moved).astype(np.int32).reshape(perms.shape[0], -1)
+    """Entry [..., r]: rank of the order that a move makes from the order of
+    rank r, where src[..., q] is the position whose card the move puts in q."""
+    return rank_rows(np.moveaxis(perms.T[src], -2, -1))
 
 
 def _round_steps(n, kind):
-    """The targets of each of a round's n steps.
+    """Each of a round's n steps as (blocks, moves), each move (tau, sigma, g).
 
-    Entry (s, c) of a step's targets is the state that move c makes from
-    state s, and the states after a step are the next step's rows (n! after
-    the last).  For CCR, top-to-random, cyclic-to-random and transpositions
-    a state is an order rank, and the moves are: remove card k (CCR) or the
-    top card and reinsert it at slot 1..n; swap position k with position
-    1..n (cyclic); swap positions i and j over all n^2 pairs.  A CCRR round
-    moves cards in their start-of-round order, and a move keeps the relative
-    order of the cards not yet moved, so step k moves the topmost card not
-    yet moved.  Its state before step k is (set of the k - 1 positions
-    holding moved cards, order rank), laid out as the set's index among the
-    (k-1)-subsets times n! plus the rank.
+    A distribution is a stack of n!-blocks of order ranks; a step makes a
+    stack of ``blocks`` blocks by new[tau] += old[sigma][g] over its moves,
+    and every state has the same number of moves.  Each g is built from one
+    table of n^2 rank arrays: swap[a][b] swaps positions a and b (cyclic,
+    transpositions), move[p][t] moves the card in position p to position t
+    and the rest close up.  A swap undoes itself and moving p -> t is undone
+    by moving t -> p, so the order q is reached from old[swap[a][b][q]] and
+    from old[move[t][p][q]].  Top-to-random gathers move[t][0] over t,
+    cyclic step k swap[k][b] over b, transpositions swap[a][b] over all
+    pairs.  CCR step k moves card k, and the orders it takes to q are q with
+    card k moved from pos_q(k) to each p, so it gathers move[pos_q(k)][p][q]
+    per q, over p.  A CCRR round moves cards in their start-of-round order,
+    and a move keeps the relative order of the cards not yet moved, so step
+    k moves the topmost card not yet moved; its blocks before step k are
+    the (k-1)-subsets of positions holding moved cards.
     """
     key = (n, kind)
     if key not in _STEPS_CACHE:
         perms = all_perms(n)
         q = np.arange(n)
+        a, b = q[:, None, None], q[None, :, None]
         if kind in (ShuffleKind.CYCLIC_TO_RANDOM, ShuffleKind.RANDOM_TRANSPOSITIONS):
-            # move c swaps positions a and b, (a, b) = divmod(c, n)
-            a, b = (x[:, None] for x in np.divmod(np.arange(n * n), n))
-            swaps = _moved_ranks(perms, np.where(q == a, b, np.where(q == b, a, q)))
-            if kind is ShuffleKind.CYCLIC_TO_RANDOM:
-                steps = [swaps[:, k * n : (k + 1) * n].copy() for k in range(n)]
-            else:
-                steps = [swaps] * n
+            table = _moved_ranks(perms, np.where(q == a, b, np.where(q == b, a, q)))
         else:
-            # the card in position p moves to position t; the rest close up
-            p, t = q[:, None, None], q[None, :, None]
-            r = q - (q > t)
-            src = np.where(q == t, p, r + (r >= p))
+            r = q - (q > b)
+            table = _moved_ranks(perms, np.where(q == b, a, r + (r >= a)))
+        if kind is ShuffleKind.CCRR:
+            steps = _ccrr_steps(n, table)
+        else:
             if kind is ShuffleKind.TOP_TO_RANDOM:
-                steps = [_moved_ranks(perms, src[0])] * n
-            else:
-                reinsert = np.stack([_moved_ranks(perms, s) for s in src], axis=1)
-                if kind is ShuffleKind.CCR:  # card k's position
-                    rows = np.arange(perms.shape[0])
-                    steps = [reinsert[rows, (perms == k).argmax(axis=1)] for k in range(n)]
-                else:
-                    steps = _ccrr_steps(n, reinsert)
+                gathers = [table[:, 0]] * n
+            elif kind is ShuffleKind.CYCLIC_TO_RANDOM:
+                gathers = list(table)
+            elif kind is ShuffleKind.RANDOM_TRANSPOSITIONS:
+                gathers = [table.reshape(n * n, -1)] * n
+            else:  # CCR: card k's position in each order q
+                rows = np.arange(perms.shape[0])
+                gathers = [table[(perms == k).argmax(axis=1), q[:, None], rows]
+                           for k in range(n)]
+            steps = [(1, [(0, 0, g) for g in step]) for step in gathers]
         _STEPS_CACHE[key] = steps
     return _STEPS_CACHE[key]
 
 
-def _ccrr_steps(n, reinsert):
-    """CCRR's step targets, from reinsert[r, p, t]: the rank of the order
-    that moving the card in position p of order r to position t makes."""
-    size = reinsert.shape[0]
+def _ccrr_steps(n, move):
+    """CCRR's steps: the block sigma (moved-position set) moves its topmost
+    unmoved position p to each t, gathering move[t][p] into the set tau."""
     subsets = [[sum(1 << i for i in c) for c in itertools.combinations(range(n), j)]
                for j in range(n + 1)]
     steps = []
     for j in range(n):  # j cards moved before the step
         index = {mask: i for i, mask in enumerate(subsets[j + 1])}
-        lowest, after = [], []
-        for mask in subsets[j]:
+        moves = []
+        for sigma, mask in enumerate(subsets[j]):
             p = next(i for i in range(n) if not mask >> i & 1)
             held = [s - (s > p) for s in range(n) if mask >> s & 1]
-            lowest.append(p)
-            after.append([index[sum(1 << (s + (s >= t)) for s in held) | 1 << t]
-                          for t in range(n)])
-        after = np.array(after, dtype=np.int32)[:, None, :] * size
-        steps.append((after + reinsert[:, lowest].transpose(1, 0, 2)).reshape(-1, n))
+            moves += [(index[sum(1 << (s + (s >= t)) for s in held) | 1 << t], sigma,
+                       move[t, p]) for t in range(n)]
+        steps.append((len(subsets[j + 1]), moves))
     return steps
 
 
 def _step_round(probs, n, kind):
     """Push order probabilities through one round of n steps.
 
-    Each step spreads every state's mass evenly over its moves' targets.
-    Fractions are pushed as integer counts over the input's common
-    denominator (np.add.at on Python ints) and divided once at the end, by
-    that denominator times moves^n; float64 is pushed by np.bincount and
-    divided by the number of moves at each step.
+    Each step spreads every state's mass evenly over its m moves, gathering
+    a whole block per move.  Fractions are pushed as integer counts over
+    the input's common denominator and divided once at the end, by that
+    denominator times m^n; float64 is divided by m at each step.
     """
     exact = probs.dtype == object
     if exact:
         den = math.lcm(*(p.denominator for p in probs))
         probs = np.array([p.numerator * (den // p.denominator) for p in probs], dtype=object)
-    steps = _round_steps(n, kind)
-    for targets, size in zip(steps, [t.shape[0] for t in steps[1:]] + [probs.size]):
-        m = targets.shape[1]
-        if exact:
-            probs, counts = np.zeros(size, dtype=object), probs
-            np.add.at(probs, targets.ravel(), np.repeat(counts, m))
-        else:
-            probs = np.bincount(targets.ravel(), weights=np.repeat(probs, m),
-                                minlength=size) / m
+    probs = probs[None, :]
+    for blocks, moves in _round_steps(n, kind):
+        new = np.zeros((blocks, probs.shape[1]), dtype=probs.dtype)
+        for tau, sigma, g in moves:
+            new[tau] += probs[sigma][g]
+        m = len(moves) // probs.shape[0]
+        probs = new if exact else new / m
+    probs = probs[0]
     if exact:
         den *= m**n
         probs = np.array([Fraction(c, den) for c in probs], dtype=object)

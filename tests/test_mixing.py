@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -176,7 +177,8 @@ class TestExactRoundPush:
 
     @pytest.mark.parametrize("kind, n, rounds", [
         *[(kind, 5, 3) for kind in ("ccrr", "ccr", "top", "cyclic", "transpositions")],
-        ("ccrr", 6, 2),
+        ("ccrr", 6, 2), ("ccr", 6, 2), ("top", 6, 1), ("cyclic", 6, 1),
+        ("transpositions", 6, 1),
     ])
     def test_float_path_matches_rational_push(self, kind, n, rounds):
         exact = PermDistribution.point_mass(n, exact=True)
@@ -187,9 +189,9 @@ class TestExactRoundPush:
         assert exact.exact and not approx.exact
         np.testing.assert_allclose(approx.probs, exact.as_floats(), rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_ccrr_law_matches_batch_round_over_all_slot_vectors(self, n):
-        slots = np.array(list(itertools.product(range(1, n + 1), repeat=n)))
+        slots = np.indices((n,) * n, dtype=np.int16).reshape(n, -1).T + 1
         positions = batch_round_positions(slots)
         counts = np.bincount(rank_rows(positions - 1), minlength=math.factorial(n))
         law = round_position_law(n, "ccrr")
@@ -197,6 +199,22 @@ class TestExactRoundPush:
             assert law.probs.tolist() == [Fraction(int(c), n**n) for c in counts]
         else:
             np.testing.assert_allclose(law.probs, counts / n**n, rtol=0, atol=1e-15)
+
+    def test_cold_ccrr_push_at_n7_stays_small(self, monkeypatch):
+        # every gather reads one table of n^2 rank arrays, 2 MB at n = 7;
+        # a table per state and move would be over 17 MB
+        monkeypatch.setattr(mixing, "_PERMS_CACHE", {})
+        monkeypatch.setattr(mixing, "_STEPS_CACHE", {})
+        start = PermDistribution.point_mass(7)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            exact_round_push(start, "ccrr")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
     def test_ccr_capability_cap(self):
         # CCR pushes through n = 7 like every kind; its round 1 from the
