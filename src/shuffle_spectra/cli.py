@@ -156,11 +156,11 @@ def _write_svg_curves(path, bs, us, rows):
 def cmd_kernel(args, parser):
     if args.n < 1:
         parser.error("--n must be >= 1")
+    if args.format == "bin" and args.out in (None, "-"):
+        parser.error("binary kernel output requires --out PATH")
     _progress(f"building kernel n={args.n} ({args.row_rule})")
     kernel = build_kernel(args.n, row_rule=args.row_rule)
     if args.format == "bin":
-        if args.out in (None, "-"):
-            parser.error("binary kernel output requires --out PATH")
         kernel_to_binary(kernel, args.out)
     else:
         if args.out in (None, "-"):

@@ -38,6 +38,7 @@ single-card motion:
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -68,7 +69,7 @@ class NumericError(RuntimeError):
 KERNEL_MAGIC = b"CCRKERN1"
 
 _NEWTON_CAP = 50  # the root converges in about 6 steps from its start
-_ROW_BLOCK = 32  # kernel rows per block: keeps the build's temporaries small
+_ROW_BLOCK = 8  # kernel rows per block: its reused CDF buffers stay in cache
 
 
 def _check_unit(name, x):
@@ -143,20 +144,6 @@ def _landing_root(z):
 def _cdf(a, z, s):
     """Landing CDF ginv(a, z) given s = s(z); a broadcasts against z."""
     return np.maximum(z * np.exp(a - 1.0), 1.0 - np.exp(a) * (1.0 - s))
-
-
-def _cell_cdf(lo, h, z, s):
-    """Mean of ginv(a, z) over depths a in [lo, lo + h], integrated exactly.
-
-    The second branch holds for a below a* = 1 - log(e X + z) and the
-    linear one above it; t is the switch's offset into the cell.
-    """
-    x = 1.0 - s
-    t = np.clip(1.0 - np.log(np.e * x + z) - lo, 0.0, h)
-    elo = np.exp(lo)
-    second = t - x * elo * np.expm1(t)
-    linear = z * elo * np.exp(t - 1.0) * np.expm1(h - t)
-    return (second + linear) / h
 
 
 def g_inverse(b, z):
@@ -255,22 +242,47 @@ def build_kernel(n, row_rule="endpoint"):
     ``row_rule`` picks the depth convention ("endpoint": a = i/n exactly;
     "cell-average": the CDF integrated exactly over a in ((i-1)/n, i/n),
     under which the kernel is doubly stochastic to rounding).
+
+    Rows are built _ROW_BLOCK at a time in buffers allocated once per
+    call: each block's CDFs are written with ``out=`` ufuncs, differenced
+    straight into the kernel and clipped to >= 0 while still in cache, so
+    no pass runs over the whole matrix.  Every entry is bit for bit the
+    entry-by-entry CDF difference, which keeps the kernel an oracle
+    independent of MatrixFreeKernel.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if row_rule not in ("endpoint", "cell-average"):
         raise ValueError("row_rule must be 'endpoint' or 'cell-average'")
     z = np.arange(n + 1) / n
-    s = _landing_root(z)
+    x = 1.0 - _landing_root(z)
+    h = 1.0 / n
+    # a cell's depths take the second branch below a* = 1 - log(e X + z)
+    # and the linear one above it; a* depends on the column alone
+    switch = 1.0 - np.log(np.e * x + z) if row_rule == "cell-average" else None
     probs = np.empty((n, n))
+    bufs = np.empty((4, min(_ROW_BLOCK, n), n + 1))
     for lo in range(0, n, _ROW_BLOCK):
-        rows = np.arange(lo, min(lo + _ROW_BLOCK, n))[:, None]
-        if row_rule == "endpoint":
-            cdf = _cdf((rows + 1) / n, z, s)
-        else:
-            cdf = _cell_cdf(rows / n, 1.0 / n, z, s)
-        np.subtract(cdf[:, 1:], cdf[:, :-1], out=probs[lo : lo + len(rows)])
-    np.clip(probs, 0.0, None, out=probs)
+        hi = min(lo + _ROW_BLOCK, n)
+        cdf, t, p, q = bufs[:, : hi - lo]
+        if row_rule == "endpoint":  # ginv(a, z), a = i/n, as _cdf gives it
+            a = np.arange(lo + 1, hi + 1)[:, None] / n
+            np.multiply(z, np.exp(a - 1.0), out=cdf)
+            np.multiply(np.exp(a), x, out=t)
+            np.maximum(cdf, np.subtract(1.0, t, out=t), out=cdf)
+        else:  # the mean of ginv over [a, a + h], a = (i-1)/n, integrated exactly
+            a = np.arange(lo, hi)[:, None] / n
+            np.clip(np.subtract(switch, a, out=t), 0.0, h, out=t)  # the switch's offset
+            elo = np.exp(a)
+            np.multiply(np.multiply(x, elo, out=cdf), np.expm1(t, out=p), out=cdf)
+            np.subtract(t, cdf, out=cdf)  # the second branch's part
+            np.multiply(np.multiply(z, elo, out=q), np.exp(np.subtract(t, 1.0, out=p), out=p),
+                        out=q)
+            np.multiply(q, np.expm1(np.subtract(h, t, out=p), out=p), out=q)  # the linear part
+            np.divide(np.add(cdf, q, out=cdf), h, out=cdf)
+        row = probs[lo:hi]
+        np.subtract(cdf[:, 1:], cdf[:, :-1], out=row)
+        np.maximum(row, 0.0, out=row)
     return GridKernel(n=n, probs=probs, row_rule=row_rule)
 
 
@@ -401,26 +413,35 @@ def kernel_to_csv(kernel, path):
 
 
 def kernel_to_binary(kernel, path):
-    """Write magic + uint64 n header + row-major float64 payload."""
+    """Write magic + uint64 n header + row-major float64 payload.
+
+    The payload is written from the kernel's own buffer, not a copy.
+    """
     with open(path, "wb") as fh:
         fh.write(KERNEL_MAGIC)
         fh.write(struct.pack("<Q", kernel.n))
-        fh.write(np.ascontiguousarray(kernel.probs, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(kernel.probs, dtype="<f8"))
 
 
 def kernel_from_binary(path):
-    """Read a kernel written by kernel_to_binary."""
+    """Read a kernel written by kernel_to_binary.
+
+    The file's length is checked against the header's n before the
+    payload is read, straight into the kernel's array.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != KERNEL_MAGIC:
+        header = fh.read(16)
+        if header[:8] != KERNEL_MAGIC:
             raise ValueError("not a kernel file (bad magic)")
-        (n,) = struct.unpack("<Q", fh.read(8))
-        payload = fh.read()
-    want = 8 * n * n
-    if len(payload) < want:
-        raise ValueError(f"kernel file truncated: {len(payload)} of {want} payload bytes")
-    if len(payload) > want:
-        raise ValueError(f"kernel file too long: {len(payload)} payload bytes, "
-                         f"expected {want}")
-    data = np.frombuffer(payload, dtype="<f8")
-    return GridKernel(n=int(n), probs=data.reshape(int(n), int(n)).copy())
+        if len(header) < 16:
+            raise ValueError(f"kernel file truncated: {len(header)} of 16 header bytes")
+        (n,) = struct.unpack("<Q", header[8:])
+        have, want = os.fstat(fh.fileno()).st_size - 16, 8 * n * n
+        if have < want:
+            raise ValueError(f"kernel file truncated: {have} of {want} payload bytes")
+        if have > want:
+            raise ValueError(f"kernel file too long: {have} payload bytes, expected {want}")
+        probs = np.empty((n, n), dtype="<f8")
+        if fh.readinto(probs) != want:
+            raise ValueError(f"kernel file truncated while reading its {want} payload bytes")
+    return GridKernel(n=n, probs=probs)

@@ -90,8 +90,13 @@ class TestKernelCmd:
         assert k.n == 15
         np.testing.assert_array_equal(k.probs, build_kernel(15).probs)
 
-    def test_binary_to_stdout_rejected(self):
+    def test_binary_to_stdout_rejected(self, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("built a kernel before validating")
+
+        monkeypatch.setattr(cli, "build_kernel", build)
         assert run_cli(["kernel", "--n", "5", "--format", "bin"]) == 2
+        assert run_cli(["kernel", "--n", "5", "--format", "bin", "--out", "-"]) == 2
 
 
 class TestEigenCmd:

@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -191,7 +192,45 @@ class TestGInverse:
             g_inverse(0.3, 0.5)
 
 
+def kernel_row_by_row(n, row_rule):
+    """B(n) one row at a time from the per-entry CDF, differenced and clipped."""
+    z = np.arange(n + 1) / n
+    s = ideal._landing_root(z)
+    probs = np.empty((n, n))
+    for i in range(n):
+        if row_rule == "endpoint":
+            cdf = ideal._cdf(np.array([[i + 1]]) / n, z, s)
+        else:  # the CDF averaged exactly over the depth cell [i/n, (i+1)/n]
+            lo, h, x = np.array([[i]]) / n, 1.0 / n, 1.0 - s
+            t = np.clip(1.0 - np.log(np.e * x + z) - lo, 0.0, h)
+            elo = np.exp(lo)
+            second = t - x * elo * np.expm1(t)
+            linear = z * elo * np.exp(t - 1.0) * np.expm1(h - t)
+            cdf = (second + linear) / h
+        probs[i] = np.clip(cdf[0, 1:] - cdf[0, :-1], 0.0, None)
+    return probs
+
+
 class TestBuildKernel:
+    @pytest.mark.parametrize("row_rule", ["endpoint", "cell-average"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 17, 1000])
+    def test_blocks_match_rows_bit_for_bit(self, n, row_rule):
+        # sizes straddle the row block; the buffered build keeps every
+        # operand and operation of the per-row formula
+        probs = build_kernel(n, row_rule).probs
+        assert np.array_equal(probs.view(np.int64),
+                              kernel_row_by_row(n, row_rule).view(np.int64))
+
+    @pytest.mark.parametrize("row_rule", ["endpoint", "cell-average"])
+    def test_build_holds_no_full_matrix_temporary(self, row_rule):
+        tracemalloc.start()
+        try:
+            k = build_kernel(3000, row_rule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < k.probs.nbytes + 1.5e6
+
     def test_n1(self):
         k = build_kernel(1)
         np.testing.assert_allclose(k.probs, [[1.0]], atol=1e-12)
@@ -453,6 +492,32 @@ class TestKernelIO:
         back = kernel_from_binary(path)
         assert back.n == 17
         assert np.array_equal(back.probs, k.probs)
+
+    def test_binary_io_holds_one_copy(self, tmp_path):
+        path = tmp_path / "k.bin"
+        tracemalloc.start()
+        try:
+            k = build_kernel(1000)
+            kernel_to_binary(k, path)
+            _, write_peak = tracemalloc.get_traced_memory()
+            nbytes = k.probs.nbytes
+            del k
+            tracemalloc.reset_peak()
+            back = kernel_from_binary(path)
+            _, read_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert write_peak < 1.1 * nbytes and read_peak < 1.1 * nbytes
+        assert path.read_bytes() == (ideal.KERNEL_MAGIC + struct.pack("<Q", 1000)
+                                     + back.probs.tobytes())
+
+    @pytest.mark.parametrize("size", [8, 10, 15])
+    def test_cut_header(self, tmp_path, size):
+        path = tmp_path / "k.bin"
+        kernel_to_binary(build_kernel(4), path)
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ValueError, match="truncated"):
+            kernel_from_binary(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
