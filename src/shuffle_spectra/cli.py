@@ -163,11 +163,7 @@ def cmd_kernel(args, parser):
     if args.format == "bin":
         kernel_to_binary(kernel, args.out)
     else:
-        if args.out in (None, "-"):
-            for row in kernel.probs:
-                sys.stdout.write(",".join(f"{x:.17g}" for x in row) + "\n")
-        else:
-            kernel_to_csv(kernel, args.out)
+        kernel_to_csv(kernel, sys.stdout if args.out in (None, "-") else args.out)
     return 0
 
 
@@ -187,12 +183,10 @@ def cmd_eigen(args, parser):
     solve = {"tol": args.tol, "maxiter": args.maxiter, "seed": args.seed}
     est = solver(getattr(MatrixFreeKernel(args.n), apply), args.n, **solve)
     # one apply of B(n), built entry by entry from the closed-form CDF,
-    # recomputes the residual: an oracle independent of the operator's
-    # prefix sums.  A complex pair of B keeps its two-step fit's residual.
-    if not (args.operator == "B" and est.value.imag):
-        lam = est.value if args.operator == "D" else est.value.real
-        v = est.vector
-        est.residual = float(np.linalg.norm(getattr(kernel, apply)(v) - lam * v))
+    # recomputes the residual: an oracle independent of the prefix sums
+    lam = est.value if est.value.imag else est.value.real
+    v = est.vector
+    est.residual = float(np.linalg.norm(getattr(kernel, apply)(v) - lam * v))
     payload = json.loads(est.to_json())
     payload["config"] = {"cmd": "eigen", "n": args.n, "operator": args.operator,
                          **solve}

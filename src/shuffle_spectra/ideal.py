@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -405,8 +406,10 @@ def kernel_to_csv(kernel, path):
     """Write the kernel row-major as CSV, one row per line, full precision.
 
     The file is the bare n x n matrix: no schema or config comment line.
+    ``path`` may also be an open text stream, which is left open.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with (nullcontext(path) if hasattr(path, "write")
+          else open(path, "w", encoding="utf-8", newline="\n")) as fh:
         for row in kernel.probs:
             fh.write(",".join(f"{x:.17g}" for x in row))
             fh.write("\n")

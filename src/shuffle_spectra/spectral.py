@@ -1,11 +1,14 @@
 """Eigenvalue estimation with stability certificates.
 
-All solvers are plain power iterations over caller-supplied matvec
-callables, so they run equally against a dense kernel and the matrix-free
-applies.  For the normal operators (the symmetric part S and skew part D
-of the round kernel) a small residual ||Op v - lambda v|| is a certificate:
-some true eigenvalue lies within the residual of the estimate.  The full
-kernel B is not normal, so its residual is reported without that reading.
+All solvers share one loop, orthogonal iteration with Rayleigh-Ritz on a
+block of one or two columns, over caller-supplied matvec callables, so
+they run equally against a dense kernel and the matrix-free applies.  With
+one column (S and D) it is plain power iteration; with two (B) a complex
+dominant pair comes out as a Ritz pair just as a real eigenvalue does.
+For the normal operators (the symmetric part S and skew part D of the
+round kernel) a small residual ||Op v - lambda v|| is a certificate: some
+true eigenvalue lies within the residual of the estimate.  The full kernel
+B is not normal, so its residual is reported without that reading.
 
 Two vector-norm conventions appear side by side: the n-vector 2-norm and
 the L2[0,1] norm of the step-function extension, which is the vector norm
@@ -15,6 +18,7 @@ divided by sqrt(n).  Every reported residual names its convention.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,53 +71,87 @@ class EigenEstimate:
         )
 
 
-_PROBE_EVERY = 50  # a quasi-periodic Rayleigh sequence never builds a streak
+def _top_pair(h):
+    """Largest-modulus eigenvalue of the 1x1 or 2x2 matrix h, with a vector.
+
+    Of a conjugate pair it takes the one with positive imaginary part.
+    """
+    if len(h) == 1:
+        return h[0][0], (1.0,)
+    (a, b), (c, d) = h
+    half, disc = 0.5 * (a + d), (0.5 * (a - d)) ** 2 + b * c
+    # rounding moves a double root by up to sqrt(eps) relative: a smaller
+    # imaginary part is no evidence of a complex pair
+    if disc < -np.finfo(float).eps * half * half:
+        lam = complex(half, math.sqrt(-disc))
+    else:
+        lam = half + math.copysign(math.sqrt(max(disc, 0.0)), half)
+    # each row of h - lam gives a null vector; take the longer (both
+    # vanish only when h = lam I, and then any vector will do)
+    y = max((b, lam - a), (lam - d, c), key=lambda y: abs(y[0]) + abs(y[1]))
+    return lam, y if any(y) else (1.0, 0.0)
 
 
-def _power(matvec, start, tol, maxiter, stall=None, streak_needed=5):
-    """Power iteration with a convergence streak on the Rayleigh quotient.
+def _orthonormal(cols, p):
+    """The first p orthonormal rows Gram-Schmidt makes of ``cols``, in order.
 
-    Returns (rho, v, iterations, converged, history, stop).  Stops early
-    with value 0 if the operator annihilates the iterate.  ``stall(v, rho,
-    settled)``, if given, is asked when a streak completes (settled=True)
-    and every _PROBE_EVERY steps: a result other than None ends the run and
-    comes back as ``stop``; a settled streak it declines starts over.
+    A vector keeping less than 1e-8 of its length once the rows already
+    taken are projected out adds no direction and is passed over.
+    """
+    basis = []
+    for c in cols:
+        length = np.linalg.norm(c)
+        for b in basis * 2:  # twice is enough
+            c = c - (b @ c) * b
+        nc = np.linalg.norm(c)
+        if nc > 1e-8 * length:
+            basis.append(c / nc)
+            if len(basis) == p:
+                break
+    return np.array(basis)
+
+
+def _ritz(apply, start, tol, maxiter):
+    """Orthogonal iteration with Rayleigh-Ritz on a block of p <= 2 columns.
+
+    ``start`` holds the p starting columns as rows (a vector for p = 1).
+    Each step applies the operator to each column of the orthonormal block
+    Q (held as rows), takes H = Q^T A Q's eigenpair (lam, y) of largest
+    modulus and orthonormalizes AQ into the next block.  A run ends when
+    lam moves by less than tol (relative, floor 1) on 5 steps running.
+    Returns (lam, x, iterations, converged, history), x = AQy / ||AQy||
+    being the Ritz vector advanced one step: for p = 1, power iteration.
+    If AQy vanishes, lam = 0 comes back with x = Qy.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and > 0")
-    v = np.asarray(start, dtype=float)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        raise ValueError("start vector must be nonzero")
-    v = v / nv
-    rho_prev = np.inf
-    streak = 0
-    history = []
-    it = 0
+    start = np.atleast_2d(np.asarray(start, dtype=float))
+    q = _orthonormal(start, len(start))
+    if len(q) < len(start):
+        raise ValueError("start vectors must be nonzero and independent")
+    lam_prev, streak, history, x, it = np.inf, 0, [], q[0], 0
     for it in range(1, maxiter + 1):
-        w = matvec(v)
-        nw = np.linalg.norm(w)
-        if nw < 1e-300:
-            return 0.0, v, it, True, history, None
-        rho = float(v @ w)
-        history.append(rho)
-        v = w / nw
-        settled = False
-        if abs(rho - rho_prev) < tol * max(1.0, abs(rho)):
-            streak += 1
-            settled = streak >= streak_needed
-            if settled and stall is None:
-                return rho, v, it, True, history, None
-        else:
-            streak = 0
-        if stall is not None and (settled or it % _PROBE_EVERY == 0):
-            stop = stall(v, rho, settled)
-            if stop is not None:
-                return rho, v, it, True, history, stop
-            if settled:
-                streak = 0
-        rho_prev = rho
-    return rho_prev, v, it, False, history, None
+        w = np.array([apply(v) for v in q])
+        lam, y = _top_pair([[float(qi @ wj) for wj in w] for qi in q])
+        x = np.dot(y, w)
+        nx = np.linalg.norm(x)
+        if nx < 1e-300:  # Q has orthonormal rows, so ||Qy|| = ||y||
+            return 0.0, np.dot(y, q) / np.linalg.norm(y), it, True, history
+        history.append(lam)
+        x = x / nx
+        streak = streak + 1 if abs(lam - lam_prev) < tol * max(1.0, abs(lam)) else 0
+        if streak == 5:
+            return lam, x, it, True, history
+        lam_prev = lam
+        q = _orthonormal([*w, *q], len(q))
+    return lam_prev, x, it, False, history
+
+
+def _estimate(apply, value, x, operator, iterations, converged, history, note=""):
+    """The EigenEstimate of (value, x), with residual ||apply(x) - value x||."""
+    res = float(np.linalg.norm(apply(x) - value * x))
+    return EigenEstimate(complex(value), x, res, operator, len(x), iterations,
+                         converged, note=note, rayleigh_history=history)
 
 
 def second_eig_sym(apply, n, tol=1e-10, maxiter=100000, seed=0):
@@ -128,7 +166,7 @@ def second_eig_sym(apply, n, tol=1e-10, maxiter=100000, seed=0):
     """
     if n < 2:
         raise ValueError("second_eig_sym needs n >= 2")
-    l1, v1, it1, conv1, *_ = _power(apply, np.ones(n), tol, maxiter)
+    l1, v1, it1, conv1, _ = _ritz(apply, np.ones(n), tol, maxiter)
 
     def deflated(y):
         w = apply(y) - l1 * (v1 @ y) * v1
@@ -139,18 +177,8 @@ def second_eig_sym(apply, n, tol=1e-10, maxiter=100000, seed=0):
     start -= (v1 @ start) * v1
     if np.linalg.norm(start) == 0.0:
         start = rng.standard_normal(n)
-    l2, v2, it2, conv2, hist, _ = _power(deflated, start, tol, maxiter)
-    res = float(np.linalg.norm(apply(v2) - l2 * v2))
-    return EigenEstimate(
-        value=complex(l2),
-        vector=v2,
-        residual=res,
-        operator="S",
-        n=n,
-        iterations=it1 + it2,
-        converged=conv1 and conv2,
-        rayleigh_history=hist,
-    )
+    l2, v2, it2, conv2, hist = _ritz(deflated, start, tol, maxiter)
+    return _estimate(apply, l2, v2, "S", it1 + it2, conv1 and conv2, hist)
 
 
 def skew_norm(apply, n, tol=1e-10, maxiter=100000, seed=0):
@@ -167,58 +195,14 @@ def skew_norm(apply, n, tol=1e-10, maxiter=100000, seed=0):
         return -apply(apply(y))
 
     rng = np.random.default_rng(seed)
-    rho, v, it, conv, hist, _ = _power(m, rng.standard_normal(n), tol, maxiter)
+    rho, v, it, conv, hist = _ritz(m, rng.standard_normal(n), tol, maxiter)
     sigma = float(np.sqrt(max(rho, 0.0)))
-    if sigma < 1e-150:
-        res = float(np.linalg.norm(apply(v)))
-        return EigenEstimate(
-            value=0j, vector=v.astype(complex), residual=res, operator="D",
-            n=n, iterations=it, converged=conv, rayleigh_history=hist,
-        )
-    w = apply(v) / sigma
-    u = (v - 1j * w) / np.sqrt(2.0)
-    u /= np.linalg.norm(u)
-    res = float(np.linalg.norm(apply(u) - 1j * sigma * u))
-    return EigenEstimate(
-        value=1j * sigma,
-        vector=u,
-        residual=res,
-        operator="D",
-        n=n,
-        iterations=it,
-        converged=conv,
-        rayleigh_history=hist,
-    )
-
-
-def _complex_pair(apply, x):
-    """The dominant pair of ``apply`` if the iterate x rotates in a plane.
-
-    Fits the degree-2 Krylov relation z = a y + b x with y = apply(x) and
-    z = apply(y).  When the fit is exact and its companion roots
-    (a +- sqrt(a^2 + 4b))/2 are complex, returns (lambda, residual of the
-    two-step relation); otherwise None.
-    """
-    y = apply(x)
-    z = apply(y)
-    ny = np.linalg.norm(y)
-    if ny < 1e-300:
-        return None
-    # skip when the iterate has already collapsed to a ray (fit is
-    # collinear and its roots meaningless)
-    if np.linalg.norm(y / ny - x * np.sign(x @ y)) < 1e-3:
-        return None
-    basis = np.stack([y, x], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, z, rcond=None)
-    fit_res = np.linalg.norm(z - basis @ coef) / max(np.linalg.norm(z), 1e-300)
-    a, b = coef
-    disc = a * a + 4.0 * b
-    if fit_res > 1e-8 or disc >= 0:
-        return None
-    lam = (a + 1j * np.sqrt(-disc)) / 2.0
-    if abs(lam.imag) <= 1e-8 * abs(lam):
-        return None
-    return lam, float(np.linalg.norm(z - 2 * lam.real * y + (abs(lam) ** 2) * x))
+    if sigma < 1e-150:  # D v = 0: v is the eigenvector of 0
+        sigma, u = 0.0, v.astype(complex)
+    else:
+        u = (v - 1j * (apply(v) / sigma)) / np.sqrt(2.0)
+        u /= np.linalg.norm(u)
+    return _estimate(apply, 1j * sigma, u, "D", it, conv, hist)
 
 
 def second_eig_b(apply, n, tol=1e-10, maxiter=100000, *, seed=0):
@@ -226,13 +210,13 @@ def second_eig_b(apply, n, tol=1e-10, maxiter=100000, *, seed=0):
 
     Every row of B sums to 1, so B 1 = 1, and B'y = B y - mean(y) 1
     (Wielandt deflation with the uniform vector) has B's eigenvalues with 0
-    in place of 1.  Power iteration runs on B'; adding c 1 to its iterate
-    x' gives B's own eigenvector, with c = mean(x') / (rho - 1) for a real
-    rho.  B is not normal, so the returned residual ||B x - rho x|| carries
-    no certificate.  If the Rayleigh sequence settles into a period-2
-    oscillation (complex dominant pair), the estimate from a two-step
-    companion fit is returned flagged as not converged, with the residual
-    of that fit and a real vector in B's invariant plane.
+    in place of 1.  A two-column Ritz iteration on B' gives its dominant
+    eigenpair (lam, x'), a complex pair as readily as a real one, and
+    x = x' + mean(x') / (lam - 1) is B's own eigenvector; if lam is 1 to
+    within tol (B's eigenvalue 1 is not simple), x' has mean zero and is
+    kept.  x[0] is made real and >= 0.  B is not normal, so the residual
+    ||B x - lam x|| carries no certificate.  A complex pair is flagged as
+    not converged, with the note "complex dominant pair".
     """
     if n < 2:
         raise ValueError("second_eig_b needs n >= 2")
@@ -240,37 +224,17 @@ def second_eig_b(apply, n, tol=1e-10, maxiter=100000, *, seed=0):
     def deflated(y):
         return apply(y) - y.mean()
 
-    def stall(v, rho, settled):
-        if settled:
-            res = float(np.linalg.norm(deflated(v) - rho * v))
-            if res <= 1e-6 * max(1.0, abs(rho)):
-                return complex(rho), res, ""
-        # value stagnant but vector still moving, or no streak at all:
-        # a rotating (complex) dominant pair?
-        hit = _complex_pair(deflated, v)
-        if hit is not None:
-            return (*hit, "complex dominant pair (two-step companion estimate)")
-        return None
-
-    start = np.random.default_rng(seed).standard_normal(n)
-    rho, v, it, conv, history, stop = _power(deflated, start, tol, maxiter, stall)
-    if stop is None:  # annihilated the iterate, or reached maxiter
-        stop = (complex(rho), None, "" if conv else "maxiter exceeded")
-    value, res, note = stop
-    if value.imag:
-        # v lies in the invariant plane of B' for value and its conjugate;
-        # v + c 1 lies in B's when (B - value)(B - conj(value)) (v + c 1) = 0
-        c = (2.0 * value.real - 1.0) * v.mean() - deflated(v).mean()
-        c /= abs(1.0 - value) ** 2
-    else:
-        c = v.mean() / (value.real - 1.0)
-    x = v + c
-    x /= np.linalg.norm(x)
-    if not value.imag:  # a complex pair keeps its two-step fit's residual
-        res = float(np.linalg.norm(apply(x) - value.real * x))
-    return EigenEstimate(  # every note flags an estimate that did not converge
-        value, x, res, "B", n, it, not note, note=note, rayleigh_history=history,
-    )
+    start = np.random.default_rng(seed).standard_normal((2, n))
+    value, x, it, conv, history = _ritz(deflated, start, tol, maxiter)
+    if abs(value - 1.0) > tol:
+        x = x + x.mean() / (value - 1.0)
+    x = x / np.linalg.norm(x)
+    if x[0] != 0:
+        x = x * (np.conj(x[0]) / abs(x[0]))
+    note = ("maxiter exceeded" if not conv
+            else "complex dominant pair" if value.imag else "")
+    # every note flags an estimate that did not converge
+    return _estimate(apply, value, x, "B", it, not note, history, note)
 
 
 def _norm(v, n, convention):

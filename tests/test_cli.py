@@ -82,6 +82,15 @@ class TestKernelCmd:
         ]
         np.testing.assert_array_equal(np.array(rows), build_kernel(20).probs)
 
+    @pytest.mark.parametrize("rule", ["endpoint", "cell-average"])
+    def test_stdout_equals_file(self, tmp_path, capsys, rule):
+        out = tmp_path / "k.csv"
+        args = ["kernel", "--n", "7", "--row-rule", rule]
+        assert run_cli(args) == 0
+        printed = capsys.readouterr().out
+        assert run_cli([*args, "--out", str(out)]) == 0
+        assert printed.encode("utf-8") == out.read_bytes()
+
     def test_binary_round_trip(self, tmp_path):
         out = tmp_path / "k.bin"
         assert run_cli(["kernel", "--n", "15", "--format", "bin",
@@ -143,6 +152,21 @@ class TestEigenCmd:
             v, value = v.real, value.real
         res = np.linalg.norm(getattr(kernel, apply)(v) - value * v)
         assert payload["residual"] == pytest.approx(res, rel=1e-12, abs=0)
+
+    def test_complex_pair_exits_1_with_its_eigenvector(self, tmp_path):
+        # B(8)'s dominant pair is complex: flagged, and the written vector is
+        # its complex eigenvector, with the dense residual in the JSON
+        out, vec = tmp_path / "e.json", tmp_path / "v.csv"
+        assert run_cli(["eigen", "--n", "8", "--operator", "B", "--out", str(out),
+                        "--vector-out", str(vec)]) == 1
+        payload = json.loads(out.read_text())
+        assert "complex dominant pair" in payload["note"]
+        value = complex(payload["value_re"], payload["value_im"])
+        _, _, rows = read_csv(vec)
+        v = np.array([float(re) + 1j * float(im) for _, re, im in rows])
+        res = np.linalg.norm(build_kernel(8).probs @ v - value * v)
+        assert res <= 1e-10
+        assert payload["residual"] == pytest.approx(res, rel=1e-3)
 
     @pytest.mark.parametrize("op", ["S", "D", "B"])
     def test_one_dense_apply(self, tmp_path, monkeypatch, op):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shuffle_spectra import (
+    MatrixFreeKernel,
     build_kernel,
     interpolate,
     oscillation_stats,
@@ -147,6 +148,23 @@ class TestSecondEigB:
         x, lam = est.vector, est.value
         plane = m @ (m @ x) - 2 * lam.real * (m @ x) + abs(lam) ** 2 * x
         assert np.linalg.norm(plane) <= 1e-8
+        # it is the pair's complex eigenvector, not only a vector in the plane
+        assert np.linalg.norm(m @ x - lam * x) <= 1e-10
+
+    def test_repeated_eigenvalue_one(self):
+        # two closed classes: B's eigenvalue 1 is double, so the deflated
+        # operator keeps a 1 whose eigenvector already has mean zero
+        m = np.kron(np.eye(2), np.full((2, 2), 0.5))
+        est = second_eig_b(m.__matmul__, 4)
+        assert est.converged
+        assert np.all(np.isfinite(est.vector))
+        assert np.linalg.norm(m @ est.vector - est.vector) <= 1e-12
+
+    @pytest.mark.parametrize("n", [50, 100, 2000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sign_does_not_follow_the_start(self, n, seed):
+        est = second_eig_b(MatrixFreeKernel(n).matvec, n, seed=seed)
+        assert est.vector[0] > 0
 
     def test_periodic_chain_converges(self):
         # a period-2 chain has eigenvalues 1, -1, 0: no stationary solve is
