@@ -26,11 +26,15 @@ card's final position in O(n log n) per replicate, all replicates in
 lockstep.  A caller that reads card k's final position needs no reverse
 pass, and no tree after step k (``card_round_positions``).
 
-Both passes use one fused descent.  A tree is one flat row-major array,
-node j of replicate c at j * R + c, so each level reads its R nodes with
-one ``take`` at a tracked flat index.  Rows past the last slot hold a
-sentinel no search passes, out to the descent's reach (twice the highest
-power of two <= size), so no index is clamped or masked.  The nodes a
+Both passes use one fused descent.  A tree of R lanes is one flat array
+stored level by level, as in a binary heap: level l (bit = top >> l, top
+the highest power of two <= size) holds the nodes bit * (2m + 1), each
+lane's 2^l of them contiguous.  Behind a pad of R + 1 entries, node
+bit * (2m + 1) of lane c sits at g = 2^l (R + c) + m + 1, so a step to the
+left child is g -> 2g - 1 and to the right g -> 2g, and each level reads
+its R nodes with one ``take``.  The step past the last level lands on
+2 top (R + c) + 1 plus the row reached.  Nodes past the last slot hold a
+sentinel no search passes, so no index is clamped or masked.  The nodes a
 descent does not pass are exactly the found slot's update chain, so the
 descent adds the pass's +1 (forward) or -1 (reverse) to them as it goes.
 
@@ -79,42 +83,48 @@ class _UnitTrees:
     """R Fenwick trees over slots 1..size, every weight 1 at the start."""
 
     def __init__(self, size, reps, dtype):
-        self.reps = reps
         bits = dtype.itemsize * 8
-        self.shift = bits - 1
-        self.top = 1 << size.bit_length() >> 1  # highest power of two <= size
-        node = np.arange(2 * self.top)
-        node = np.where(node <= size, node & -node, 1 << bits - 2).astype(dtype)
-        self.flat = np.repeat(node, reps)  # node j of replicate c at j * reps + c
-        self._cols = np.arange(reps, dtype=np.intp)
-        self._nxt, self._step = np.empty((2, reps), dtype=np.intp)
+        top = 1 << size.bit_length() >> 1  # highest power of two <= size
+        self.levels = top.bit_length()
+        # level by level (module notes), filled in place
+        self.flat = np.empty(2 * top * reps + 1, dtype=dtype)
+        self.flat[: reps + 1] = 0
+        for l in range(self.levels):
+            bit, width = top >> l, 1 << l
+            level = self.flat[reps * width + 1 : 2 * reps * width + 1].reshape(reps, width)
+            live = (size // bit + 1) // 2  # nodes bit * (2m + 1) <= size
+            level[:, :live] = bit
+            level[:, live:] = 1 << bits - 2
+        lanes = np.arange(reps, dtype=np.intp)
+        self._root = lanes + (reps + 1)
+        self._base = 2 * top * (lanes + reps) + 1  # where row 0 would sit
+        self._shift = np.array(bits - 1, dtype=dtype)
+        self._g, self._row = np.empty((2, reps), dtype=np.intp)
         self._t, self._e, self._skip, self._tmp = np.empty((4, reps), dtype=dtype)
 
     def descend(self, below, delta):
         """Row f - 1 of the smallest slot f with prefix(f) > below, per replicate.
 
         Adds ``delta`` (+1 or -1) to slot f's weight in the same descent.
-        ``below`` (the trees' dtype) is consumed.
+        ``below`` (the trees' dtype) is consumed, and the returned array is
+        reused.
         """
-        reps, flat, nxt, step = self.reps, self.flat, self._nxt, self._step
+        flat, nxt = self.flat, self._g
         t, e, skip, tmp = self._t, self._e, self._skip, self._tmp
         update = np.subtract if delta > 0 else np.add  # t - skip: +1 where skip
-        bit = self.top
-        np.add(self._cols, bit * reps, out=nxt)
-        while True:
-            flat.take(nxt, out=t)
+        g = self._root
+        for _ in range(self.levels):
+            flat.take(g, out=t, mode="clip")
             np.subtract(below, t, out=e)
-            np.right_shift(e, self.shift, out=skip)  # -1 where the node is not passed
+            np.right_shift(e, self._shift, out=skip)  # -1 where the node is not passed
             update(t, skip, out=tmp)
-            flat[nxt] = tmp  # a node not passed is on slot f's update chain
+            flat[g] = tmp  # a node not passed is on slot f's update chain
             np.bitwise_and(t, skip, out=tmp)
             np.add(e, tmp, out=below)  # below - t where passed
-            np.bitwise_and(skip, np.intp(bit * reps), out=step)
-            np.subtract(nxt, step, out=nxt)  # the row reached so far
-            bit >>= 1
-            if not bit:
-                return nxt // reps
-            np.add(nxt, bit * reps, out=nxt)
+            np.add(g, g, out=nxt)
+            np.add(nxt, skip, out=nxt)  # the left child 2g - 1, or the right 2g
+            g = nxt
+        return np.subtract(g, self._base, out=self._row)
 
 
 def _forward_pass(slots):
@@ -122,16 +132,20 @@ def _forward_pass(slots):
     where card k is reinserted.  Runs in slots' dtype; reads column k - 1
     before it yields v_k, and the yielded array is reused."""
     rows, n = slots.shape
-    below = np.empty(rows, dtype=slots.dtype)
-    v = np.empty(rows, dtype=slots.dtype)
+    um1, below, v = np.empty((3, rows), dtype=slots.dtype)
+    cut = np.empty(rows, dtype=np.intp)
+    one = slots.dtype.type(1)
     tree = _UnitTrees(n + 1, rows, slots.dtype)
     for k in range(1, n + 1):
         # insert at final rank u: pass u - 1 cards and the k processed units
-        um1 = slots[:, k - 1] - 1
-        np.add(um1, k, out=below)
+        kk = slots.dtype.type(k)
+        np.subtract(slots[:, k - 1], one, out=um1)
+        np.add(um1, kk, out=below)
         row = tree.descend(below, +1)
         # v_k = processed cards above: u - 1, less the live skeleton above
-        np.minimum(um1, um1 + k - row, out=v)
+        np.subtract(kk, row, out=cut)
+        np.add(cut, um1, out=cut)
+        np.minimum(um1, cut, out=v)
         yield v
 
 

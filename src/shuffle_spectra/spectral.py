@@ -214,9 +214,12 @@ def second_eig_b(apply, n, tol=1e-10, maxiter=100000, *, seed=0):
     eigenpair (lam, x'), a complex pair as readily as a real one, and
     x = x' + mean(x') / (lam - 1) is B's own eigenvector; if lam is 1 to
     within tol (B's eigenvalue 1 is not simple), x' has mean zero and is
-    kept.  x[0] is made real and >= 0.  B is not normal, so the residual
-    ||B x - lam x|| carries no certificate.  A complex pair is flagged as
-    not converged, with the note "complex dominant pair".
+    kept.  If the shift cancels x' to rounding, B' is zero to rounding
+    (B is the uniform chain), every mean-zero vector is an eigenvector of
+    0, and the first start vector less its mean is taken.  x[0] is made
+    real and >= 0.  B is not normal, so the residual ||B x - lam x||
+    carries no certificate.  A complex pair is flagged as not converged,
+    with the note "complex dominant pair".
     """
     if n < 2:
         raise ValueError("second_eig_b needs n >= 2")
@@ -228,6 +231,8 @@ def second_eig_b(apply, n, tol=1e-10, maxiter=100000, *, seed=0):
     value, x, it, conv, history = _ritz(deflated, start, tol, maxiter)
     if abs(value - 1.0) > tol:
         x = x + x.mean() / (value - 1.0)
+    if np.linalg.norm(x) <= np.sqrt(np.finfo(float).eps):  # ||x'|| = 1
+        x = start[0] - start[0].mean()
     x = x / np.linalg.norm(x)
     if x[0] != 0:
         x = x * (np.conj(x[0]) / abs(x[0]))

@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -108,6 +110,35 @@ class TestBatchRoundDescentEdges:
         finally:
             tracemalloc.stop()
         assert peak < 4 * reps * n * np.dtype(np.int32).itemsize
+
+
+class TestUnitTreesAgainstWeightLists:
+    # the oracle is the definition: per replicate, a list of slot weights,
+    # searched by bisection on its prefix sums
+    @pytest.mark.parametrize("reps", [1, 5])
+    @pytest.mark.parametrize("size, dtype", [
+        *((size, dtype) for size in (1, 2, 3, 7, 8, 9, 17, 1000)
+          for dtype in (np.int16, np.int32)),
+        (8001, np.int16),  # slots 8002..8191 of the top level are sentinels
+    ])
+    def test_random_descents(self, size, dtype, reps):
+        rng = np.random.default_rng(size * 10 + reps)
+        tree = batch._UnitTrees(size, reps, np.dtype(dtype))
+        weights = [[1] * size for _ in range(reps)]
+        for step in range(min(3 * size, 300)):
+            totals = [sum(w) for w in weights]
+            # a search needs a unit past it, so no lane empties
+            delta = +1 if min(totals) == 1 or rng.random() < 0.5 else -1
+            # searches at the first and last unit and at random ones
+            below = [0 if step % 5 == 0 else t - 1 if step % 5 == 1
+                     else int(rng.integers(t)) for t in totals]
+            want = []
+            for w, b in zip(weights, below):
+                row = bisect.bisect_right(list(itertools.accumulate(w)), b)
+                w[row] += delta
+                want.append(row)
+            got = tree.descend(np.array(below, dtype=dtype), delta)
+            assert got.tolist() == want, (step, delta)
 
 
 class TestRejectsSlotsOutsideTheDeck:

@@ -160,6 +160,19 @@ class TestSecondEigB:
         assert np.all(np.isfinite(est.vector))
         assert np.linalg.norm(m @ est.vector - est.vector) <= 1e-12
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_uniform_chain(self, n):
+        # B = 1/n: the deflated operator is zero to rounding, so the shift
+        # cancels the Ritz vector, and any mean-zero vector is the answer
+        m = np.full((n, n), 1.0 / n)
+        est = second_eig_b(m.__matmul__, n)
+        x, lam = est.vector, est.value
+        assert np.all(np.isfinite(x))
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-14)
+        assert abs(x.mean()) <= 1e-15
+        assert abs(lam) <= 1e-15
+        assert np.linalg.norm(m @ x - lam * x) <= 1e-15
+
     @pytest.mark.parametrize("n", [50, 100, 2000])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sign_does_not_follow_the_start(self, n, seed):
