@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, mixing
 from .batch import ccrr_rounds
 from .deck import Deck, RngStream
 from .ideal import (
@@ -252,8 +252,8 @@ def cmd_simulate(args, parser):
 
 def cmd_exact(args, parser):
     kind = _parse_kind(args.kind, parser)
-    if not 1 <= args.n <= 7:
-        parser.error("--n must lie in 1..7 for exact computation")
+    if not 1 <= args.n <= mixing.ENUM_N_MAX:
+        parser.error(f"--n must lie in 1..{mixing.ENUM_N_MAX} for exact computation")
     if args.rounds < 0:
         parser.error("--rounds must be >= 0")
     config = {"cmd": "exact", "kind": kind.value, "n": args.n, "rounds": args.rounds}

@@ -7,11 +7,11 @@ deck transiently holds n-1 cards and n gaps, so a uniform slot in {1..n}
 means a uniform final position.
 
 ``Deck`` keeps only the order list (O(n) per operation, the reference
-implementation).  ``FastDeck`` keeps the same sequence as a list of
-bounded blocks indexed by a Fenwick tree of block sizes, giving rank
-queries, remove-at-rank and insert-at-rank in O(log n) tree steps plus
-one small-block memmove.  Both produce identical orders for identical
-operation sequences, and both reject positions outside 1..n.
+implementation).  ``FastDeck`` cuts it into list blocks under a Fenwick
+tree of block sizes: rank queries, remove- and insert-at-rank take
+O(log n) tree steps plus one small-block memmove, and a block outgrowing
+twice the block size costs one O(n) re-cut.  Both produce identical orders
+for identical operation sequences, and both reject positions outside 1..n.
 
 Deck instances are not thread-safe; use one instance (and one RngStream)
 per thread.  Distinct stream ids derived from one seed are independent.
@@ -239,41 +239,26 @@ class Deck:
         return f"Deck({self.order})"
 
 
-class _Block:
-    __slots__ = ("cards", "idx")
-
-    def __init__(self, cards, idx):
-        self.cards = cards
-        self.idx = idx
-
-
 class FastDeck:
     """Blocked-sequence deck with a Fenwick tree over block sizes.
 
-    The order is split into blocks of at most 2 * block_size cards; a
-    Fenwick tree over block sizes turns ranks into (block, offset) pairs in
-    O(log #blocks), and a card -> block map makes position queries direct.
-    Cards are homed to block objects, so a split renumbers only the block
-    list (O(#blocks), amortized over the block size), never the cards.
+    ``blocks`` are plain lists; the tree turns ranks into (block, offset)
+    pairs in O(log #blocks), and ``_home`` maps each card to its block's
+    index.  A block passing 2 * block_size cards makes ``insert_at_rank``
+    re-cut the whole order into block_size-card blocks, in O(n); an emptied
+    block stays until then, and a rank descent never lands in it.  Under
+    uniform slots (every ``run_round`` kind) that is one or two re-cuts a
+    round; if every insert hits one block (the top card moved to the bottom
+    n times, which no caller does) it is one per block_size inserts.
     """
 
     def __init__(self, order, block_size: int = 512):
         order = list(order)
-        n = len(order)
-        if sorted(order) != list(range(1, n + 1)):
+        if sorted(order) != list(range(1, len(order) + 1)):
             raise ValueError("order must be a permutation of 1..n")
         self.block_size = block_size
-        self.blocks = [
-            _Block(order[i : i + block_size], idx)
-            for idx, i in enumerate(range(0, n, block_size))
-        ]
-        if not self.blocks:
-            self.blocks = [_Block([], 0)]
         self._home = {}
-        for blk in self.blocks:
-            for c in blk.cards:
-                self._home[c] = blk
-        self._rebuild_tree()
+        self._cut(order)
 
     @classmethod
     def identity(cls, n: int, block_size: int = 512) -> "FastDeck":
@@ -283,18 +268,18 @@ class FastDeck:
     def n(self) -> int:
         return len(self._home)
 
-    # -- Fenwick over block sizes ------------------------------------------
+    def _cut(self, order):
+        """Cut ``order`` into block_size-card blocks, home every card to its
+        block's index and build the Fenwick tree of block sizes."""
+        size = self.block_size
+        self.blocks = [order[i : i + size] for i in range(0, len(order), size)] or [[]]
+        self._tree = [0] * (len(self.blocks) + 1)
+        self._topbit = 1 << len(self.blocks).bit_length()
+        for bi, cards in enumerate(self.blocks):
+            self._home.update(dict.fromkeys(cards, bi))
+            self._tree_add(bi, len(cards))
 
-    def _rebuild_tree(self):
-        m = len(self.blocks)
-        tree = [0] * (m + 1)
-        for i in range(1, m + 1):
-            tree[i] += len(self.blocks[i - 1].cards)
-            j = i + (i & -i)
-            if j <= m:
-                tree[j] += tree[i]
-        self._tree = tree
-        self._topbit = 1 << m.bit_length()
+    # -- Fenwick over block sizes ------------------------------------------
 
     def _tree_add(self, bi: int, delta: int):
         i = bi + 1
@@ -329,23 +314,19 @@ class FastDeck:
             bit >>= 1
         return pos, rem  # block index pos (0-based block pos), offset rem
 
-    def _renumber_from(self, start: int):
-        for j in range(start, len(self.blocks)):
-            self.blocks[j].idx = j
-
     # -- rank-level primitives ---------------------------------------------
 
     def position_of(self, card: int) -> int:
-        blk = self._home.get(card)
-        if blk is None:
+        bi = self._home.get(card)
+        if bi is None:
             raise ValueError(f"card {card} not in deck")
-        return self._prefix(blk.idx) + blk.cards.index(card) + 1
+        return self._prefix(bi) + self.blocks[bi].index(card) + 1
 
     def card_at(self, position: int) -> int:
         if not 1 <= position <= self.n:
             raise ValueError("position out of range")
         bi, off = self._block_for_rank(position - 1)
-        return self.blocks[bi].cards[off]
+        return self.blocks[bi][off]
 
     def remove_at_rank(self, position: int) -> int:
         """Remove and return the card at the given 1-based position."""
@@ -355,15 +336,11 @@ class FastDeck:
 
     def remove_card(self, card: int):
         """Remove a card wherever it sits (no rank computation needed)."""
-        blk = self._home.pop(card, None)
-        if blk is None:
+        bi = self._home.pop(card, None)
+        if bi is None:
             raise ValueError(f"card {card} not in deck")
-        blk.cards.remove(card)
-        self._tree_add(blk.idx, -1)
-        if not blk.cards and len(self.blocks) > 1:
-            del self.blocks[blk.idx]
-            self._renumber_from(blk.idx)
-            self._rebuild_tree()
+        self.blocks[bi].remove(card)
+        self._tree_add(bi, -1)
 
     def insert_at_rank(self, position: int, card: int):
         """Insert ``card`` so that its final 1-based position is ``position``."""
@@ -373,23 +350,15 @@ class FastDeck:
             raise ValueError("position out of range")
         r = position - 1
         if r == self.n:
-            blk = self.blocks[-1]
-            off = len(blk.cards)
+            bi, off = len(self.blocks) - 1, len(self.blocks[-1])
         else:
             bi, off = self._block_for_rank(r)
-            blk = self.blocks[bi]
-        blk.cards.insert(off, card)
-        self._home[card] = blk
-        self._tree_add(blk.idx, +1)
-        if len(blk.cards) > 2 * self.block_size:
-            mid = len(blk.cards) // 2
-            right = _Block(blk.cards[mid:], blk.idx + 1)
-            del blk.cards[mid:]
-            self.blocks.insert(blk.idx + 1, right)
-            self._renumber_from(blk.idx + 1)
-            for c in right.cards:
-                self._home[c] = right
-            self._rebuild_tree()
+        cards = self.blocks[bi]
+        cards.insert(off, card)
+        self._home[card] = bi
+        self._tree_add(bi, +1)
+        if len(cards) > 2 * self.block_size:
+            self._cut(self.to_order())
 
     def remove_insert(self, card: int, slot: int) -> "FastDeck":
         if not 1 <= slot <= self.n:
@@ -414,7 +383,7 @@ class FastDeck:
     # -- export --------------------------------------------------------------
 
     def to_order(self) -> list:
-        return [c for blk in self.blocks for c in blk.cards]
+        return [c for cards in self.blocks for c in cards]
 
     def __eq__(self, other):
         if isinstance(other, FastDeck):

@@ -204,7 +204,6 @@ class GridKernel(_KernelApplies):
 
     n: int
     probs: np.ndarray
-    row_rule: str = "endpoint"
 
     def row_sums(self):
         return self.probs.sum(axis=1)
@@ -284,7 +283,7 @@ def build_kernel(n, row_rule="endpoint"):
         row = probs[lo:hi]
         np.subtract(cdf[:, 1:], cdf[:, :-1], out=row)
         np.maximum(row, 0.0, out=row)
-    return GridKernel(n=n, probs=probs, row_rule=row_rule)
+    return GridKernel(n=n, probs=probs)
 
 
 class MatrixFreeKernel(_KernelApplies):
@@ -410,9 +409,9 @@ def kernel_to_csv(kernel, path):
     """
     with (nullcontext(path) if hasattr(path, "write")
           else open(path, "w", encoding="utf-8", newline="\n")) as fh:
-        for row in kernel.probs:
-            fh.write(",".join(f"{x:.17g}" for x in row))
-            fh.write("\n")
+        line = ",".join(["%.17g"] * kernel.n) + "\n"
+        for row in kernel.probs.tolist():
+            fh.write(line % tuple(row))
 
 
 def kernel_to_binary(kernel, path):

@@ -174,7 +174,6 @@ def tv_to_uniform(dist):
 # --------------------------------------------------------------------------
 
 _STEPS_CACHE: dict = {}
-_LAW_CACHE: dict = {}
 
 
 def _moved_ranks(perms, src):
@@ -291,13 +290,10 @@ def round_position_law(n, kind):
             "CCR rounds after the first are not position-driven; "
             "use exact_round_push, or CCRR for round 1"
         )
-    key = (n, kind)
-    if key not in _LAW_CACHE:
-        start = PermDistribution.point_mass(n)
-        orders = _step_round(start.probs, n, kind)
-        inverse = rank_rows(np.argsort(all_perms(n), axis=1))
-        _LAW_CACHE[key] = PermDistribution(n=n, probs=orders[inverse], exact=start.exact)
-    return _LAW_CACHE[key]
+    start = PermDistribution.point_mass(n)
+    orders = _step_round(start.probs, n, kind)
+    inverse = rank_rows(np.argsort(all_perms(n), axis=1))
+    return PermDistribution(n=n, probs=orders[inverse], exact=start.exact)
 
 
 def exact_round_push(dist, kind):
@@ -320,11 +316,11 @@ def exact_single_card_kernel(n, kind):
     kind = ShuffleKind(kind)
     if kind is ShuffleKind.CCR:
         kind = ShuffleKind.CCRR
-    law = round_position_law(n, kind)
+    orders = _step_round(PermDistribution.point_mass(n).probs, n, kind)
     perms = all_perms(n)
-    kernel = np.full((n, n), Fraction(0) if law.exact else 0.0, dtype=law.probs.dtype)
-    for k in range(n):
-        np.add.at(kernel[k], perms[:, k], law.probs)
+    kernel = np.zeros((n, n), dtype=orders.dtype)  # exact: sums of n! Fractions
+    for p in range(n):  # the card in position p of each order ends there
+        np.add.at(kernel[:, p], perms[:, p], orders)
     return kernel
 
 

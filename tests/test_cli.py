@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shuffle_spectra import GridKernel, batch, build_kernel, cli, kernel_from_binary
+from shuffle_spectra import GridKernel, batch, build_kernel, cli, kernel_from_binary, mixing
 from shuffle_spectra.cli import main
 from shuffle_spectra.ideal import KERNEL_MAGIC
 
@@ -98,6 +98,23 @@ class TestKernelCmd:
         k = kernel_from_binary(out)
         assert k.n == 15
         np.testing.assert_array_equal(k.probs, build_kernel(15).probs)
+
+    def test_cell_average_binary_round_trip(self, tmp_path):
+        out = tmp_path / "k.bin"
+        assert run_cli(["kernel", "--n", "15", "--row-rule", "cell-average",
+                        "--format", "bin", "--out", str(out)]) == 0
+        k = kernel_from_binary(out)
+        assert k.probs.tobytes() == build_kernel(15, "cell-average").probs.tobytes()
+
+    @pytest.mark.parametrize("rule", ["endpoint", "cell-average"])
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_csv_bytes_are_each_entry_at_17_digits(self, tmp_path, n, rule):
+        out = tmp_path / "k.csv"
+        assert run_cli(["kernel", "--n", str(n), "--row-rule", rule,
+                        "--out", str(out)]) == 0
+        want = "".join(",".join(f"{x:.17g}" for x in row) + "\n"
+                       for row in build_kernel(n, rule).probs)
+        assert out.read_bytes() == want.encode("utf-8")
 
     def test_binary_to_stdout_rejected(self, monkeypatch):
         def build(*args, **kwargs):
@@ -385,6 +402,11 @@ class TestExactCmd:
 
     def test_n_cap(self):
         assert run_cli(["exact", "--n", "8", "--rounds", "1"]) == 2
+
+    def test_n_cap_is_the_enumeration_cap(self, monkeypatch, capsys):
+        monkeypatch.setattr(mixing, "ENUM_N_MAX", 6)
+        assert run_cli(["exact", "--n", "7", "--rounds", "1"]) == 2
+        assert "--n must lie in 1..6" in capsys.readouterr().err
 
     def test_ccr_runs_at_n7(self, tmp_path):
         out = tmp_path / "tv.csv"

@@ -8,6 +8,8 @@ from shuffle_spectra import (
     FastDeck,
     ReplicateStreams,
     RngStream,
+    ShuffleKind,
+    run_round,
 )
 from shuffle_spectra.deck import _VECTOR_WORDS as _V
 
@@ -157,6 +159,53 @@ class TestFullRoundEquivalence:
             for card in schedule_f:
                 f.remove_insert(card, rng_b.slot(n))
             assert f.to_order() == d.order
+
+
+class TestRecut:
+    @staticmethod
+    def _spy_cuts(monkeypatch):
+        calls = []
+        cut = FastDeck._cut
+
+        def spy(self, order):
+            calls.append(len(order))
+            cut(self, order)
+
+        monkeypatch.setattr(FastDeck, "_cut", spy)
+        return calls
+
+    @pytest.mark.parametrize("kind", list(ShuffleKind))
+    def test_small_blocks_match_deck_over_rounds(self, monkeypatch, kind):
+        n = 1000
+        calls = self._spy_cuts(monkeypatch)
+        d, f = Deck.identity(n), FastDeck.identity(n, block_size=16)
+        rng_a, rng_b = RngStream(3, 0), RngStream(3, 0)
+        for _ in range(3):
+            run_round(d, kind, rng_a)
+            run_round(f, kind, rng_b)
+            assert f.to_order() == d.order
+        assert all(f.position_of(c) == d.position_of(c) for c in range(1, n + 1))
+        recuts = len(calls) - 1  # the first cut builds the deck
+        if kind in (ShuffleKind.CCR, ShuffleKind.CCRR, ShuffleKind.TOP_TO_RANDOM):
+            assert recuts > 0
+
+    @pytest.mark.parametrize("kind", [ShuffleKind.CCRR, ShuffleKind.TOP_TO_RANDOM])
+    def test_block_count_stays_at_n_over_block_size(self, kind):
+        f = FastDeck.identity(4096, block_size=64)
+        rng = RngStream(7, 0)
+        for _ in range(12):
+            run_round(f, kind, rng)
+            assert len(f.blocks) == 64
+
+    def test_emptied_block_is_skipped(self):
+        f = FastDeck.identity(6, block_size=2)
+        f.remove_card(3)
+        f.remove_card(4)
+        assert f.blocks[1] == []
+        assert [f.card_at(p) for p in range(1, 5)] == [1, 2, 5, 6]
+        f.insert_at_rank(3, 4)
+        assert f.to_order() == [1, 2, 4, 5, 6]
+        assert f.position_of(6) == 5
 
 
 class TestRngStream:

@@ -271,6 +271,19 @@ class TestExactSingleCardKernel:
             for j in range(n):
                 assert marg[j] == k[card - 1][j]
 
+    @pytest.mark.parametrize("kind", ["ccrr", "cyclic", "top", "transpositions"])
+    def test_equals_the_round_law_marginals(self, kind):
+        for n in range(1, 8):  # card k ends in position F(k), F the round's map
+            law = round_position_law(n, kind)
+            want = np.zeros((n, n), dtype=law.probs.dtype)
+            for k in range(n):
+                np.add.at(want[k], all_perms(n)[:, k], law.probs)
+            got = exact_single_card_kernel(n, kind)
+            if law.exact:
+                assert got.dtype == object and (got == want).all()
+            else:  # summed in another order: 1e-14 is about 45 ulps of 1
+                assert np.abs(got - want).max() <= 1e-14
+
     def test_ccr_alias(self):
         a = exact_single_card_kernel(3, "ccr")
         b = exact_single_card_kernel(3, "ccrr")
