@@ -199,19 +199,22 @@ def card_round_positions(slots, k):
     u_k - 1 + k - v_k), and keeps its order with the cards not yet moved.
     So each later card j lowers z by one if it leaves from above (j <=
     last) and raises it by one if it re-enters at u_j <= z.  Returns an
-    int32 array with one entry per replicate.
+    int32 array with one entry per replicate; the forward pass and the
+    steps run in the round's storage width (module notes), int16 while
+    n < 2^13.
     """
-    slots = _checked(slots).astype(np.int32, copy=False)
+    slots = _checked(slots)
     n = slots.shape[1]
     if not 1 <= k <= n:
         raise ValueError(f"card {k} outside 1..{n}")
+    slots = slots.astype(_storage(n), copy=False)
     v = next(islice(_forward_pass(slots), k - 1, None))
     z = slots[:, k - 1].copy()
     last = z - 1 + k - v
     for j in range(k + 1, n + 1):
         z -= last >= j
         z += z >= slots[:, j - 1]
-    return z
+    return z.astype(np.int32, copy=False)
 
 
 class BatchCcrr:

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import enum
 
+from .deck import Deck
+
 __all__ = ["ShuffleKind", "run_round"]
 
 
@@ -52,21 +54,54 @@ def run_round(deck, kind, rng):
     transposition reads ``rng.slots(n, (n, 2))`` as (i, j) pairs.  An
     ``RngStream`` gives the same draws to this call as to n (or 2n) scalar
     ``rng.slot(n)`` calls in turn.
+
+    The draws are checked against 1..n once, before any card moves, so a
+    bad draw raises ValueError and leaves the deck as it was.  A ``Deck``
+    then runs its moves as plain list operations on ``deck.order``, with
+    no per-step method call or range check (the up-front check is what
+    keeps ``list.insert`` from clamping an index); any other deck runs
+    them through its own ``card_at``, ``remove_insert`` and
+    ``swap_positions``.
     """
     n = deck.n
-    if kind is ShuffleKind.RANDOM_TRANSPOSITIONS:
-        for i, j in rng.slots(n, (n, 2)).tolist():
+    pairs = kind is ShuffleKind.RANDOM_TRANSPOSITIONS
+    draws = rng.slots(n, (n, 2) if pairs else n)
+    if draws.size and not (draws.min() >= 1 and draws.max() <= n):
+        raise ValueError(f"slots must lie in 1..{n}")
+    draws = draws.tolist()
+    if isinstance(deck, Deck):
+        _list_round(deck.order, kind, draws)
+    elif pairs:
+        for i, j in draws:
             deck.swap_positions(i, j)
-        return deck
-    slots = rng.slots(n, n).tolist()
-    if kind is ShuffleKind.CYCLIC_TO_RANDOM:
-        for k, j in enumerate(slots, start=1):
+    elif kind is ShuffleKind.CYCLIC_TO_RANDOM:
+        for k, j in enumerate(draws, start=1):
             deck.swap_positions(k, j)
     elif kind is ShuffleKind.TOP_TO_RANDOM:
-        for slot in slots:
+        for slot in draws:
             deck.remove_insert(deck.card_at(1), slot)
     else:  # CCR and CCRR differ only in their schedule
         schedule = range(1, n + 1) if kind is ShuffleKind.CCR else deck.to_order()
-        for card, slot in zip(schedule, slots):
+        for card, slot in zip(schedule, draws):
             deck.remove_insert(card, slot)
     return deck
+
+
+def _list_round(order, kind, draws):
+    """The round's moves on a deck's order list; draws lie in 1..n."""
+    if kind is ShuffleKind.RANDOM_TRANSPOSITIONS:
+        for i, j in draws:
+            order[i - 1], order[j - 1] = order[j - 1], order[i - 1]
+    elif kind is ShuffleKind.CYCLIC_TO_RANDOM:
+        for k, j in enumerate(draws):
+            order[k], order[j - 1] = order[j - 1], order[k]
+    elif kind is ShuffleKind.TOP_TO_RANDOM:
+        pop, insert = order.pop, order.insert
+        for slot in draws:
+            insert(slot - 1, pop(0))
+    else:
+        schedule = range(1, len(order) + 1) if kind is ShuffleKind.CCR else order[:]
+        remove, insert = order.remove, order.insert
+        for card, slot in zip(schedule, draws):
+            remove(card)
+            insert(slot - 1, card)

@@ -184,6 +184,7 @@ class TestStorageWidth:
         assert np.array_equal(narrow, wide)
         for row, draws in zip(narrow, slots):
             assert np.array_equal(row, _replayed(draws))
+        return slots, wide
 
     @pytest.mark.parametrize("n", _edge_sizes())
     def test_int16_and_int32_give_the_replayed_maps(self, n):
@@ -194,8 +195,28 @@ class TestStorageWidth:
         # at n = 2^13 - 1 the forward tree's nodes reach 2n + 1 = 2^14 - 1;
         # at n = 8000 the forward tree has sentinel nodes, and the every-
         # card-to-the-bottom row reaches them, unpassed, in each of its n
-        # descents, raising them to 2^14 + 8000
-        self._check_both_widths(n, 1)
+        # descents, raising them to 2^14 + 8000; the one-card pass of the
+        # last card runs that row's forward pass to its end, in int16
+        slots, wide = self._check_both_widths(n, 1)
+        assert np.array_equal(card_round_positions(slots, n), wide[:, n - 1])
+
+    def test_one_card_pass_width(self, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        widths = []
+
+        class Spy(batch._UnitTrees):
+            def __init__(self, size, reps, dtype):
+                super().__init__(size, reps, dtype)
+                widths.append(self.flat.dtype)
+                raise Stop
+
+        monkeypatch.setattr(batch, "_UnitTrees", Spy)
+        for n in (2**13 - 1, 2**13):
+            with pytest.raises(Stop):
+                card_round_positions(np.ones((2, n), dtype=np.int32), n)
+        assert widths == [np.int16, np.int32]
 
     def test_int32_from_2_pow_13(self, monkeypatch):
         with pytest.raises(ValueError, match="int32"):

@@ -69,13 +69,16 @@ class TestRoundBasics:
         assert a.order != b.order  # differs with overwhelming probability
 
 
+both_decks = pytest.mark.parametrize(
+    "make_deck",
+    [Deck.identity, lambda n: FastDeck.identity(n, block_size=2)],
+    ids=["Deck", "FastDeck"],
+)
+
+
 class TestDrawContract:
-    @pytest.mark.parametrize(
-        "make_deck",
-        [Deck.identity, lambda n: FastDeck.identity(n, block_size=2)],
-        ids=["Deck", "FastDeck"],
-    )
-    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    @both_decks
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 100])
     @pytest.mark.parametrize("kind", list(ShuffleKind))
     def test_round_replays_scalar_draws(self, kind, n, make_deck):
         # a round's one vector draw equals n scalar rng.slot(n) draws in
@@ -89,6 +92,23 @@ class TestDrawContract:
             draws = [scalar.slot(n) for _ in range(per_step * n)]
             order = brute.literal_round(order, kind.value, draws)
             assert tuple(deck.to_order()) == order
+
+    @both_decks
+    @pytest.mark.parametrize("bad", [0, 7])
+    @pytest.mark.parametrize("kind", list(ShuffleKind))
+    def test_bad_draw_moves_no_card(self, kind, bad, make_deck):
+        # the draws are checked before the first move: a round whose
+        # fourth step draws 0 or n + 1 raises and leaves the deck as it was
+        n = 6
+        per_step = 2 if kind is ShuffleKind.RANDOM_TRANSPOSITIONS else 1
+        deck = make_deck(n)
+        run_round(deck, kind, RngStream(5, 0))
+        before = deck.to_order()
+        draws = [1 + (5 * i + 2) % n for i in range(per_step * n)]
+        draws[per_step * 3] = bad
+        with pytest.raises(ValueError, match="1..6"):
+            run_round(deck, kind, FixedRng(draws))
+        assert deck.to_order() == before
 
 
 class TestRunRounds:
