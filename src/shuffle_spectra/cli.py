@@ -199,7 +199,7 @@ def cmd_eigen(args, parser):
 
 
 def cmd_simulate(args, parser):
-    kind = _parse_kind(args.kind, parser)
+    kind = ShuffleKind(args.kind)
     # every statistic reports a sample variance, undefined for one replicate
     if args.n < 1 or args.rounds < 0 or args.reps < 2:
         parser.error("need --n >= 1, --rounds >= 0, --reps >= 2")
@@ -251,7 +251,7 @@ def cmd_simulate(args, parser):
 
 
 def cmd_exact(args, parser):
-    kind = _parse_kind(args.kind, parser)
+    kind = ShuffleKind(args.kind)
     if not 1 <= args.n <= mixing.ENUM_N_MAX:
         parser.error(f"--n must lie in 1..{mixing.ENUM_N_MAX} for exact computation")
     if args.rounds < 0:
@@ -294,13 +294,6 @@ def cmd_singlecard(args, parser):
     return 0
 
 
-def _parse_kind(name, parser):
-    try:
-        return ShuffleKind.parse(name)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
 # -- parser ------------------------------------------------------------------
 
 
@@ -319,6 +312,10 @@ def build_parser():
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
         if formats:
             p.add_argument("--format", choices=list(formats), default=formats[0])
+
+    def kinds(p):  # argparse lists, lower-cases and checks the kind names
+        p.add_argument("--kind", type=str.lower, default="ccrr",
+                       choices=[k.value for k in ShuffleKind])
 
     p = sub.add_parser("gcurve", help="sample the idealized landing map "
                                       "g(b, u) over the unit interval")
@@ -350,8 +347,7 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="Monte Carlo rounds: eigenvector "
                                         "statistic decay or card-1 depth")
-    p.add_argument("--kind", default="ccrr",
-                   help="ccrr | ccr | top | transpositions | cyclic")
+    kinds(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rounds", type=int, default=10)
     p.add_argument("--reps", type=int, default=1000)
@@ -361,7 +357,7 @@ def build_parser():
 
     p = sub.add_parser("exact", help="exact total-variation mixing table "
                                      "at tiny n (enumeration)")
-    p.add_argument("--kind", default="ccrr")
+    kinds(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rounds", type=int, default=6)
     common(p, formats=("csv", "json"),

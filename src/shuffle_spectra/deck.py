@@ -1,17 +1,19 @@
 """Deck state: naive array deck, blocked order-statistic deck, seeded RNG.
 
 Cards are integers 1..n named after their starting positions (position 1 is
-the top of the deck).  The one primitive is remove_insert: take a card out,
-reinsert it so that its final position among all n cards is ``slot``.  The
-deck transiently holds n-1 cards and n gaps, so a uniform slot in {1..n}
-means a uniform final position.
+the top of the deck).  A deck moves cards in two ways.  remove_insert takes
+a card out and reinserts it so that its final position among all n cards
+is ``slot``: the deck transiently holds n-1 cards and n gaps, so a uniform
+slot in {1..n} means a uniform final position.  swap_positions exchanges
+the cards in two positions.
 
 ``Deck`` keeps only the order list (O(n) per operation, the reference
 implementation).  ``FastDeck`` cuts it into list blocks under a Fenwick
 tree of block sizes: rank queries, remove- and insert-at-rank take
 O(log n) tree steps plus one small-block memmove, and a block outgrowing
-twice the block size costs one O(n) re-cut.  Both produce identical orders
-for identical operation sequences, and both reject positions outside 1..n.
+twice the block size costs one O(n) re-cut; a swap is two rank queries
+and an exchange in place.  Both produce identical orders for identical
+operation sequences, and both reject positions outside 1..n.
 
 Deck instances are not thread-safe; use one instance (and one RngStream)
 per thread.  Distinct stream ids derived from one seed are independent.
@@ -247,9 +249,10 @@ class FastDeck:
     index.  A block passing 2 * block_size cards makes ``insert_at_rank``
     re-cut the whole order into block_size-card blocks, in O(n); an emptied
     block stays until then, and a rank descent never lands in it.  Under
-    uniform slots (every ``run_round`` kind) that is one or two re-cuts a
-    round; if every insert hits one block (the top card moved to the bottom
-    n times, which no caller does) it is one per block_size inserts.
+    uniform slots (a CCR, CCRR or top-to-random round) that is one or two
+    re-cuts a round; if every insert hits one block (the top card moved to
+    the bottom n times, which no caller does) it is one per block_size
+    inserts.  A swap changes no block's size, so it never re-cuts.
     """
 
     def __init__(self, order, block_size: int = 512):
@@ -322,17 +325,15 @@ class FastDeck:
             raise ValueError(f"card {card} not in deck")
         return self._prefix(bi) + self.blocks[bi].index(card) + 1
 
-    def card_at(self, position: int) -> int:
+    def _locate(self, position: int):
+        """Block index and offset of the card at 1-based ``position``."""
         if not 1 <= position <= self.n:
             raise ValueError("position out of range")
-        bi, off = self._block_for_rank(position - 1)
-        return self.blocks[bi][off]
+        return self._block_for_rank(position - 1)
 
-    def remove_at_rank(self, position: int) -> int:
-        """Remove and return the card at the given 1-based position."""
-        card = self.card_at(position)
-        self.remove_card(card)
-        return card
+    def card_at(self, position: int) -> int:
+        bi, off = self._locate(position)
+        return self.blocks[bi][off]
 
     def remove_card(self, card: int):
         """Remove a card wherever it sits (no rank computation needed)."""
@@ -368,16 +369,13 @@ class FastDeck:
         return self
 
     def swap_positions(self, i: int, j: int) -> "FastDeck":
-        """Exchange the cards in positions i and j."""
-        if i > j:
-            i, j = j, i
-        ci = self.card_at(i)  # checks i before any card moves
-        if i == j:
-            return self
-        cj = self.remove_at_rank(j)
-        self.remove_card(ci)
-        self.insert_at_rank(i, cj)
-        self.insert_at_rank(j, ci)
+        """Exchange the cards in positions i and j in place: no block
+        changes size, so the tree is untouched."""
+        bi, oi = self._locate(i)
+        bj, oj = self._locate(j)
+        a, b = self.blocks[bi], self.blocks[bj]
+        a[oi], b[oj] = b[oj], a[oi]
+        self._home[a[oi]], self._home[b[oj]] = bi, bj
         return self
 
     # -- export --------------------------------------------------------------

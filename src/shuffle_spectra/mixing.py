@@ -110,14 +110,17 @@ def perm_rank(perm):
 class PermDistribution:
     """Dense distribution over S_n, indexed by lexicographic (Lehmer) rank.
 
-    Probabilities are Fractions when ``exact`` (n <= 5) and float64
-    otherwise.  Decks are identified with their order arrays (0-based:
-    entry p is the card in position p+1).
+    Probabilities are Fractions (object dtype, ``exact``; the default at
+    n <= 5) or float64.  Decks are identified with their order arrays
+    (0-based: entry p is the card in position p+1).
     """
 
     n: int
     probs: np.ndarray
-    exact: bool
+
+    @property
+    def exact(self):
+        return self.probs.dtype == object
 
     @classmethod
     def point_mass(cls, n, order=None, exact=None):
@@ -134,7 +137,7 @@ class PermDistribution:
         else:
             probs = np.zeros(size)
             probs[idx] = 1.0
-        return cls(n=n, probs=probs, exact=exact)
+        return cls(n=n, probs=probs)
 
     @classmethod
     def uniform(cls, n, exact=None):
@@ -146,7 +149,7 @@ class PermDistribution:
             probs = np.array([Fraction(1, size)] * size, dtype=object)
         else:
             probs = np.full(size, 1.0 / size)
-        return cls(n=n, probs=probs, exact=exact)
+        return cls(n=n, probs=probs)
 
     def total(self):
         return sum(self.probs) if self.exact else float(self.probs.sum())
@@ -293,7 +296,7 @@ def round_position_law(n, kind):
     start = PermDistribution.point_mass(n)
     orders = _step_round(start.probs, n, kind)
     inverse = rank_rows(np.argsort(all_perms(n), axis=1))
-    return PermDistribution(n=n, probs=orders[inverse], exact=start.exact)
+    return PermDistribution(n=n, probs=orders[inverse])
 
 
 def exact_round_push(dist, kind):
@@ -302,7 +305,7 @@ def exact_round_push(dist, kind):
     n = dist.n
     if n > ENUM_N_MAX:
         raise CapabilityError(f"exact pushforward capped at n <= {ENUM_N_MAX}")
-    return PermDistribution(n=n, probs=_step_round(dist.probs, n, kind), exact=dist.exact)
+    return PermDistribution(n=n, probs=_step_round(dist.probs, n, kind))
 
 
 def exact_single_card_kernel(n, kind):
@@ -473,10 +476,11 @@ class StatTrajectory:
     """Per-round moments of the test statistic over replicated CCRR runs.
 
     Index t of the arrays is round t (entry 0 is the deterministic start).
-    r_hat is the geometric-mean per-round ratio of E|S_t| over the fit
-    window; r_hat_signed is the same fit on |mean S_t| restricted to the
-    rounds where the signed mean stays above 4 standard errors (the
-    signal-dominated window), which is the decay-rate diagnostic.
+    r_hat is the geometric-mean per-round ratio of E|S_t| over the first
+    min(5, rounds) rounds; r_hat_signed is the same fit on |mean S_t|
+    restricted to the rounds where the signed mean stays above 4 standard
+    errors (the signal-dominated window), which is the decay-rate
+    diagnostic.
     """
 
     n: int
@@ -485,7 +489,6 @@ class StatTrajectory:
     mean_abs: np.ndarray
     mean_signed: np.ndarray
     var_s: np.ndarray
-    fit_window: tuple
     r_hat: float
     r_hat_signed: float
     signed_window: int
@@ -539,7 +542,7 @@ def run_lower_bound_experiment(n, rounds, reps, phi, lam, seed=12345):
     var_s = np.r_[0.0, values.var(axis=1, ddof=1)]
     var_inf = float(stat.stationary()[1])
 
-    lo, hi = 1, min(5, rounds)
+    hi = min(5, rounds)
     r_hat = float((mean_abs[hi] / mean_abs[0]) ** (1.0 / hi)) if hi else math.nan
 
     # signal-dominated window: signed mean above 4 standard errors
@@ -557,7 +560,7 @@ def run_lower_bound_experiment(n, rounds, reps, phi, lam, seed=12345):
 
     return StatTrajectory(
         n=n, reps=reps, lam=lam, mean_abs=mean_abs, mean_signed=mean_signed,
-        var_s=var_s, fit_window=(lo, hi), r_hat=r_hat,
+        var_s=var_s, r_hat=r_hat,
         r_hat_signed=r_hat_signed, signed_window=win, tau=tau,
         var_inf=var_inf, separation_margin=separation,
     )

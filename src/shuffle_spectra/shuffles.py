@@ -32,13 +32,6 @@ class ShuffleKind(enum.Enum):
     TOP_TO_RANDOM = "top"
     RANDOM_TRANSPOSITIONS = "transpositions"
 
-    @classmethod
-    def parse(cls, name: str) -> "ShuffleKind":
-        for kind in cls:
-            if kind.value == name.lower():
-                return kind
-        raise ValueError(f"unknown shuffle kind {name!r}")
-
 
 # Branch on the kind once per round, not at every step: a per-step branch
 # is measurably slower on the sequential decks.

@@ -1,13 +1,16 @@
 import argparse
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shuffle_spectra import GridKernel, batch, build_kernel, cli, kernel_from_binary, mixing
+import shuffle_spectra
+from shuffle_spectra import (GridKernel, ShuffleKind, batch, build_kernel, cli,
+                             kernel_from_binary, mixing)
 from shuffle_spectra.cli import main
 from shuffle_spectra.ideal import KERNEL_MAGIC
 
@@ -416,6 +419,32 @@ class TestExactCmd:
         assert [int(r[0]) for r in rows] == [0, 1, 2]
 
 
+class TestKindChoices:
+    # --kind's choices come from ShuffleKind; argparse folds their case
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--kind", "CCRR", "--n", "20", "--rounds", "2", "--reps", "5"],
+        ["simulate", "--kind", "Top", "--n", "20", "--rounds", "2", "--reps", "5"],
+        ["exact", "--kind", "CCRR", "--n", "4", "--rounds", "2"],
+    ], ids=["simulate-CCRR", "simulate-Top", "exact-CCRR"])
+    def test_kind_is_case_insensitive(self, argv, capsys):
+        assert run_cli(argv) == 0
+        mixed = capsys.readouterr().out
+        assert run_cli([*argv[:2], argv[2].lower(), *argv[3:]]) == 0
+        assert mixed == capsys.readouterr().out
+        config = json.loads(mixed.splitlines()[1][len("# config "):])
+        assert config["kind"] == ShuffleKind(argv[2].lower()).value
+
+    def test_exact_rejects_an_unknown_kind(self, capsys):
+        assert run_cli(["exact", "--kind", "riffle", "--n", "4"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["simulate", "exact"])
+    def test_help_lists_every_kind(self, sub, capsys):
+        assert run_cli([sub, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert all(kind.value in out for kind in ShuffleKind)
+
+
 class TestSingleCardCmd:
     def test_schema_and_counts(self, tmp_path):
         out = tmp_path / "sc.csv"
@@ -551,3 +580,21 @@ class TestReadmeCommands:
         for argv in commands:
             args = parser.parse_args(argv[1:])
             assert args.cmd == argv[1]
+
+    def test_library_map_names_every_export(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Library map", 1)[1].split("\n## ", 1)[0]
+        missing = [name for name in shuffle_spectra.__all__
+                   if name != "__version__" and not re.search(rf"`{name}\b", section)]
+        assert missing == []
+
+
+class TestPackageNamespace:
+    def test_every_export_is_its_modules_object(self):
+        modules = [shuffle_spectra.batch, shuffle_spectra.deck, shuffle_spectra.ideal,
+                   mixing, shuffle_spectra.shuffles, shuffle_spectra.spectral]
+        exported = [name for mod in modules for name in mod.__all__]
+        assert sorted(shuffle_spectra.__all__) == sorted(["__version__", *exported])
+        for mod in modules:
+            for name in mod.__all__:
+                assert getattr(shuffle_spectra, name) is getattr(mod, name)

@@ -108,7 +108,8 @@ class TestBijectionInvariant:
 class TestFastDeckPrimitives:
     def test_remove_insert_at_rank(self):
         f = FastDeck.identity(6, block_size=2)
-        card = f.remove_at_rank(2)
+        card = f.card_at(2)
+        f.remove_card(card)
         assert card == 2
         assert f.to_order() == [1, 3, 4, 5, 6]
         f.insert_at_rank(5, 2)
@@ -116,7 +117,8 @@ class TestFastDeckPrimitives:
 
     def test_insert_at_end(self):
         f = FastDeck.identity(4, block_size=2)
-        c = f.remove_at_rank(1)
+        c = f.card_at(1)
+        f.remove_card(c)
         f.insert_at_rank(4, c)
         assert f.to_order() == [2, 3, 4, 1]
 
@@ -128,7 +130,7 @@ class TestFastDeckPrimitives:
     def test_rank_errors(self):
         f = FastDeck.identity(4)
         with pytest.raises(ValueError):
-            f.remove_at_rank(0)
+            f.card_at(0)
         with pytest.raises(ValueError):
             f.card_at(5)
         with pytest.raises(ValueError):
@@ -188,6 +190,22 @@ class TestRecut:
         recuts = len(calls) - 1  # the first cut builds the deck
         if kind in (ShuffleKind.CCR, ShuffleKind.CCRR, ShuffleKind.TOP_TO_RANDOM):
             assert recuts > 0
+
+    @pytest.mark.parametrize("kind", [ShuffleKind.CYCLIC_TO_RANDOM,
+                                      ShuffleKind.RANDOM_TRANSPOSITIONS])
+    def test_swap_rounds_exchange_in_place(self, monkeypatch, kind):
+        # a swap changes no block's size: no re-cut, every block keeps its
+        # length, and every card's home still finds it
+        f = FastDeck.identity(50, block_size=2)
+        d = Deck.identity(50)
+        sizes = [len(cards) for cards in f.blocks]
+        calls = self._spy_cuts(monkeypatch)
+        run_round(f, kind, RngStream(5, 0))
+        run_round(d, kind, RngStream(5, 0))
+        assert calls == []
+        assert [len(cards) for cards in f.blocks] == sizes
+        assert f.to_order() == d.order
+        assert all(f.position_of(c) == d.position_of(c) for c in range(1, 51))
 
     @pytest.mark.parametrize("kind", [ShuffleKind.CCRR, ShuffleKind.TOP_TO_RANDOM])
     def test_block_count_stays_at_n_over_block_size(self, kind):

@@ -144,7 +144,8 @@ class TestExactRoundPush:
         else:
             q = np.random.default_rng(6).random(size)
             q /= q.sum()
-        dist = PermDistribution(n=n, probs=q, exact=n <= 5)
+        dist = PermDistribution(n=n, probs=q)
+        assert dist.exact == (n <= 5)
         law = round_position_law(n, "ccrr").probs
         direct = sum(law[j] * q[rank_rows(perms[:, perms[j]])] for j in np.flatnonzero(law))
         pushed = exact_round_push(dist, "ccrr").probs
@@ -224,7 +225,7 @@ class TestExactRoundPush:
             ccr = exact_round_push(start, "ccr").probs
             ccrr = exact_round_push(start, "ccrr").probs
             assert np.abs(ccr - ccrr).max() <= 1e-15
-        too_big = PermDistribution(n=8, probs=np.zeros(math.factorial(8)), exact=False)
+        too_big = PermDistribution(n=8, probs=np.zeros(math.factorial(8)))
         with pytest.raises(CapabilityError):
             exact_round_push(too_big, "ccr")
 

@@ -170,9 +170,3 @@ class TestBaselines:
         )
         # (1<->2), then (2<->3), then (3<->1)
         assert deck.order == [1, 3, 2]
-
-    def test_parse(self):
-        assert ShuffleKind.parse("CCRR") is ShuffleKind.CCRR
-        assert ShuffleKind.parse("top") is ShuffleKind.TOP_TO_RANDOM
-        with pytest.raises(ValueError):
-            ShuffleKind.parse("riffle")
