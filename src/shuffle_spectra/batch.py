@@ -23,8 +23,19 @@ Reverse pass.  The final deck is the pure insertion sequence "card k
 enters at rank v_k + 1 among processed cards"; walking k = n..1 and
 claiming the (v_k + 1)-th free slot of a fresh Fenwick tree yields every
 card's final position in O(n log n) per replicate, all replicates in
-lockstep.  A caller that reads card k's final position needs no reverse
-pass, and no tree after step k (``card_round_positions``).
+lockstep.
+
+One card.  Read as a list, the forward pass starts from the skeleton
+items S_1..S_{n+1}, and card j's unit enters at 0-based index
+T_j = u_j + j - 1 (u_j its slot): step j's search passes u_j + j - 1 units
+and ends in the group of the item at that index, and its +1 is an
+insertion there.  So where card k lands needs no tree, only the number of
+skeleton items before index T_k when card k enters.  A cursor y = u_k + 1
+walked back over j = k-1..1 finds it: unit j sat before the cursor if
+u_j < y, and else y moves one on, so that at the end y - 1 of the items
+before T_k are skeleton.  ``card_round_positions`` reads card k's final
+position from that count and the later cards' slots, in two numpy calls
+per earlier card, four per later one and no reverse pass.
 
 Both passes use one fused descent.  A tree of R lanes is one flat array
 stored level by level, as in a binary heap: level l (bit = top >> l, top
@@ -57,8 +68,6 @@ tree node is kept in intp whatever the storage width.
 
 from __future__ import annotations
 
-from itertools import islice
-
 import numpy as np
 
 from .deck import ReplicateStreams, RngStream
@@ -67,10 +76,10 @@ __all__ = ["batch_round_positions", "card_round_positions", "BatchCcrr",
            "ccrr_rounds", "uniform_positions"]
 
 # Rows per batched pass: replicates, or rounds x replicates in BatchCcrr.
-# On 2 CPUs, 2048 to 16,384 rows ran the one-card pass at n = 1000 equally
-# fast, and 8192 ran full rounds at n = 2000 10% faster than 4096; but a
-# pass's trees and slots grow as rows x n, and at n = 10^4 one of 4096
-# rows already peaks near 450 MB.
+# On 2 CPUs, 2048 to 16,384 rows ran the one-card cursor at n = 1000 at
+# 4 to 4.4 us a row (drawing the slots takes 14), and 8192 ran full rounds
+# at n = 2000 10% faster than 4096; but a pass's trees and slots grow as
+# rows x n, and at n = 10^4 one of 4096 rows already peaks near 450 MB.
 CHUNK_ROWS = 4096
 
 
@@ -127,28 +136,6 @@ class _UnitTrees:
         return np.subtract(g, self._base, out=self._row)
 
 
-def _forward_pass(slots):
-    """Yield v_k for k = 1..n: per row, the processed cards above the point
-    where card k is reinserted.  Runs in slots' dtype; reads column k - 1
-    before it yields v_k, and the yielded array is reused."""
-    rows, n = slots.shape
-    um1, below, v = np.empty((3, rows), dtype=slots.dtype)
-    cut = np.empty(rows, dtype=np.intp)
-    one = slots.dtype.type(1)
-    tree = _UnitTrees(n + 1, rows, slots.dtype)
-    for k in range(1, n + 1):
-        # insert at final rank u: pass u - 1 cards and the k processed units
-        kk = slots.dtype.type(k)
-        np.subtract(slots[:, k - 1], one, out=um1)
-        np.add(um1, kk, out=below)
-        row = tree.descend(below, +1)
-        # v_k = processed cards above: u - 1, less the live skeleton above
-        np.subtract(kk, row, out=cut)
-        np.add(cut, um1, out=cut)
-        np.minimum(um1, cut, out=v)
-        yield v
-
-
 def _checked(slots):
     """slots as an array of rows of draws from 1..n, or ValueError."""
     slots = np.asarray(slots)
@@ -178,12 +165,27 @@ def batch_round_positions(slots, out=None):
         raise ValueError(f"out must be int32 or {_storage(n)} at n = {n}")
     elif out is not slots:
         np.copyto(out, slots, casting="same_kind")
-    for k, v in enumerate(_forward_pass(out)):
-        out[:, k] = v  # slot k + 1 has been read
+
+    # forward pass: slot u_k becomes v_k, the processed cards above the
+    # point where card k is reinserted
+    um1, below = np.empty((2, len(out)), dtype=out.dtype)
+    cut = np.empty(len(out), dtype=np.intp)
+    one = out.dtype.type(1)
+    tree = _UnitTrees(n + 1, len(out), out.dtype)
+    for k in range(1, n + 1):
+        # insert at final rank u: pass u - 1 cards and the k processed units
+        kk = out.dtype.type(k)
+        np.subtract(out[:, k - 1], one, out=um1)
+        np.add(um1, kk, out=below)
+        row = tree.descend(below, +1)
+        # v_k = processed cards above: u - 1, less the live skeleton above
+        np.subtract(kk, row, out=cut)
+        np.add(cut, um1, out=cut)
+        np.minimum(um1, cut, out=out[:, k - 1])
+    del tree  # before the reverse pass builds its own
 
     # reverse pass: card k claims the (v_k + 1)-th free final slot; its
     # final position overwrites v_k in place
-    below = np.empty(len(out), dtype=out.dtype)
     tree = _UnitTrees(n, len(out), out.dtype)
     for k in range(n, 0, -1):
         below[:] = out[:, k - 1]
@@ -194,25 +196,29 @@ def batch_round_positions(slots, out=None):
 def card_round_positions(slots, k):
     """Final position after one CCRR round of the card processed k-th.
 
-    Equals batch_round_positions(slots)[:, k - 1] from k forward steps:
-    card k lands at z = u_k, just below skeleton cards k+1..last (last =
-    u_k - 1 + k - v_k), and keeps its order with the cards not yet moved.
-    So each later card j lowers z by one if it leaves from above (j <=
-    last) and raises it by one if it re-enters at u_j <= z.  Returns an
-    int32 array with one entry per replicate; the forward pass and the
-    steps run in the round's storage width (module notes), int16 while
-    n < 2^13.
+    Equals batch_round_positions(slots)[:, k - 1] without a tree: the
+    backward cursor (module notes) counts y - 1 skeleton items above the
+    point where card k enters.  So card k lands at z = u_k, just below
+    skeleton cards k+1..y-1 (none if y - 1 <= k), and keeps its order with
+    the cards not yet moved.  Each later card j lowers z by one if it
+    leaves from above (j <= y - 1) and raises it by one if it re-enters at
+    u_j <= z.  Returns an int32 array with one entry per replicate; the
+    cursor and the steps run in the round's storage width (module notes),
+    int16 while n < 2^13.
     """
     slots = _checked(slots)
     n = slots.shape[1]
     if not 1 <= k <= n:
         raise ValueError(f"card {k} outside 1..{n}")
     slots = slots.astype(_storage(n), copy=False)
-    v = next(islice(_forward_pass(slots), k - 1, None))
     z = slots[:, k - 1].copy()
-    last = z - 1 + k - v
+    y = z + 1
+    after = np.empty(len(slots), dtype=bool)
+    for j in range(k - 1, 0, -1):
+        np.greater_equal(slots[:, j - 1], y, out=after)  # unit j is not before
+        y += after
     for j in range(k + 1, n + 1):
-        z -= last >= j
+        z -= y > j  # card j leaves from above: j <= y - 1
         z += z >= slots[:, j - 1]
     return z.astype(np.int32, copy=False)
 

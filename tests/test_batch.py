@@ -80,19 +80,26 @@ class TestBatchRoundDescentEdges:
             assert got.dtype == np.int32
             assert np.array_equal(got, fp[:, k - 1])
 
-    @pytest.mark.parametrize("k", [1, 17, 50])
-    def test_one_card_pass_descends_k_times(self, monkeypatch, k):
-        calls = []
-        descend = batch._UnitTrees.descend
+    def test_one_card_pass_builds_no_tree(self, monkeypatch):
+        slots = np.random.default_rng(50).integers(1, 51, size=(8, 50))
+        fp = batch_round_positions(slots)
 
-        def counted(self, below, delta):
-            calls.append(delta)
-            return descend(self, below, delta)
+        class NoTree:
+            def __init__(self, *args):
+                raise AssertionError("the one-card pass built a tree")
 
-        monkeypatch.setattr(batch._UnitTrees, "descend", counted)
-        slots = np.random.default_rng(k).integers(1, 51, size=(8, 50))
-        card_round_positions(slots, k)
-        assert len(calls) == k
+        monkeypatch.setattr(batch, "_UnitTrees", NoTree)
+        for k in (1, 17, 50):
+            assert np.array_equal(card_round_positions(slots, k), fp[:, k - 1])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_one_card_pass_on_every_slot_vector(self, n):
+        slots = np.array(list(itertools.product(range(1, n + 1), repeat=n)))
+        fp = batch_round_positions(slots)
+        replayed = np.array([_replayed(draws) for draws in slots])
+        assert np.array_equal(fp, replayed)
+        for k in range(1, n + 1):
+            assert np.array_equal(card_round_positions(slots, k), fp[:, k - 1])
 
     @pytest.mark.parametrize("k", [0, 6])
     def test_one_card_pass_rejects_a_card_outside_the_deck(self, k):
@@ -196,27 +203,30 @@ class TestStorageWidth:
         # at n = 8000 the forward tree has sentinel nodes, and the every-
         # card-to-the-bottom row reaches them, unpassed, in each of its n
         # descents, raising them to 2^14 + 8000; the one-card pass of the
-        # last card runs that row's forward pass to its end, in int16
+        # last card walks its cursor back over every earlier card, in int16
         slots, wide = self._check_both_widths(n, 1)
         assert np.array_equal(card_round_positions(slots, n), wide[:, n - 1])
 
     def test_one_card_pass_width(self, monkeypatch):
-        class Stop(Exception):
-            pass
+        widths = set()
 
-        widths = []
+        class Recording:
+            """numpy, but greater_equal notes its operands' dtypes."""
 
-        class Spy(batch._UnitTrees):
-            def __init__(self, size, reps, dtype):
-                super().__init__(size, reps, dtype)
-                widths.append(self.flat.dtype)
-                raise Stop
+            def __getattr__(self, name):
+                return getattr(np, name)
 
-        monkeypatch.setattr(batch, "_UnitTrees", Spy)
-        for n in (2**13 - 1, 2**13):
-            with pytest.raises(Stop):
-                card_round_positions(np.ones((2, n), dtype=np.int32), n)
-        assert widths == [np.int16, np.int32]
+            def greater_equal(self, a, b, **kwargs):
+                widths.add((a.dtype, b.dtype))
+                return np.greater_equal(a, b, **kwargs)
+
+        monkeypatch.setattr(batch, "np", Recording())
+        for n, dtype in ((2**13 - 1, np.int16), (2**13, np.int32)):
+            widths.clear()
+            # the last card: a cursor step over every earlier card, no later one
+            got = card_round_positions(np.ones((2, n), dtype=np.int32), n)
+            assert got.tolist() == [1, 1]
+            assert widths == {(np.dtype(dtype), np.dtype(dtype))}
 
     def test_int32_from_2_pow_13(self, monkeypatch):
         with pytest.raises(ValueError, match="int32"):
