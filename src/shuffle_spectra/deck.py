@@ -8,11 +8,13 @@ slot in {1..n} means a uniform final position.  swap_positions exchanges
 the cards in two positions.
 
 ``Deck`` keeps only the order list (O(n) per operation, the reference
-implementation).  ``FastDeck`` cuts it into list blocks under a Fenwick
-tree of block sizes: rank queries, remove- and insert-at-rank take
-O(log n) tree steps plus one small-block memmove, and a block outgrowing
-twice the block size costs one O(n) re-cut; a swap is two rank queries
-and an exchange in place.  Both produce identical orders for identical
+implementation); ``run_round`` moves the cards of a ``Deck`` under 256
+cards on a bytearray copy, where finding a card is one memchr, and writes
+them back into the list.  ``FastDeck`` cuts the order into list blocks
+under a Fenwick tree of block sizes: rank queries, remove- and
+insert-at-rank take O(log n) tree steps plus one small-block memmove, and
+a block outgrowing twice the block size costs one O(n) re-cut; a swap is
+two rank queries and an exchange in place.  Both produce identical orders for identical
 operation sequences, and both reject positions outside 1..n.
 
 Deck instances are not thread-safe; use one instance (and one RngStream)

@@ -78,11 +78,13 @@ both_decks = pytest.mark.parametrize(
 
 class TestDrawContract:
     @both_decks
-    @pytest.mark.parametrize("n", [1, 2, 5, 9, 100])
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 100, 255, 256])
     @pytest.mark.parametrize("kind", list(ShuffleKind))
     def test_round_replays_scalar_draws(self, kind, n, make_deck):
         # a round's one vector draw equals n scalar rng.slot(n) draws in
-        # turn (2n for transpositions, read as (i, j) pairs)
+        # turn (2n for transpositions, read as (i, j) pairs); n = 255 is the
+        # largest deck whose labels fit in a byte, n = 256 the first that
+        # does not
         per_step = 2 if kind is ShuffleKind.RANDOM_TRANSPOSITIONS else 1
         deck = make_deck(n)
         rng, scalar = RngStream(17, n), RngStream(17, n)
@@ -94,21 +96,32 @@ class TestDrawContract:
             assert tuple(deck.to_order()) == order
 
     @both_decks
-    @pytest.mark.parametrize("bad", [0, 7])
+    @pytest.mark.parametrize("n, bad", [(6, 0), (6, 7), (255, 0), (255, 256)],
+                             ids=["0", "7", "n255-0", "n255-256"])
     @pytest.mark.parametrize("kind", list(ShuffleKind))
-    def test_bad_draw_moves_no_card(self, kind, bad, make_deck):
+    def test_bad_draw_moves_no_card(self, kind, n, bad, make_deck):
         # the draws are checked before the first move: a round whose
         # fourth step draws 0 or n + 1 raises and leaves the deck as it was
-        n = 6
         per_step = 2 if kind is ShuffleKind.RANDOM_TRANSPOSITIONS else 1
         deck = make_deck(n)
         run_round(deck, kind, RngStream(5, 0))
         before = deck.to_order()
         draws = [1 + (5 * i + 2) % n for i in range(per_step * n)]
         draws[per_step * 3] = bad
-        with pytest.raises(ValueError, match="1..6"):
+        with pytest.raises(ValueError, match=f"1\\.\\.{n}"):
             run_round(deck, kind, FixedRng(draws))
         assert deck.to_order() == before
+
+    @pytest.mark.parametrize("kind", list(ShuffleKind))
+    def test_deck_keeps_its_list_of_ints(self, kind):
+        # a round moves the cards of the same order list, which holds
+        # Python ints whatever container the moves ran on
+        deck = Deck.identity(255)
+        order = deck.order
+        run_round(deck, kind, RngStream(9, 0))
+        assert deck.order is order
+        assert sorted(order) == list(range(1, 256))
+        assert all(type(card) is int for card in order)
 
 
 class TestRunRounds:
