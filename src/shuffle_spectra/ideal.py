@@ -71,6 +71,7 @@ KERNEL_MAGIC = b"CCRKERN1"
 
 _NEWTON_CAP = 50  # the root converges in about 6 steps from its start
 _ROW_BLOCK = 8  # kernel rows per block: its reused CDF buffers stay in cache
+Y_DISTRIBUTION_N_MAX = 500  # y_distribution's DP is O(t^2), and t runs up to n
 
 
 def _check_unit(name, x):
@@ -217,22 +218,6 @@ class GridKernel(_KernelApplies):
     def _bt(self, u):
         return self.probs.T @ u
 
-    def validate(self, row_tol=1e-9, col_slack=30.0):
-        """Check stochasticity: rows to row_tol, columns to col_slack/n.
-
-        Endpoint rows carry a top-corner boundary layer whose column-sum
-        deviation decays like ~0.4 n^(-1/2), so col_slack/n is the right
-        envelope only up to n of a few thousand; widen it (or build with
-        the cell-average rule) beyond that.
-        """
-        if np.any(self.probs < -1e-15):
-            raise NumericError("kernel has negative entries")
-        if np.abs(self.row_sums() - 1.0).max() > row_tol:
-            raise NumericError("kernel rows do not sum to 1")
-        if np.abs(self.col_sums() - 1.0).max() > col_slack / self.n:
-            raise NumericError("kernel column sums deviate too much from 1")
-        return self
-
 
 def build_kernel(n, row_rule="endpoint"):
     """Build the n x n landing-distribution matrix B(n).
@@ -372,15 +357,15 @@ def y_moments(n, a, t):
     return mean, float(bound), var
 
 
-def y_distribution(n, a, t, max_n=500):
+def y_distribution(n, a, t):
     """Exact law of Y_t by forward dynamic programming.
 
     Returns (values, probs): the support {a, a + 1/n, ..., a + t/n} and the
-    probability of each point.  Intended for n <= max_n (the DP is
-    O(t^2)); use y_moments alone for larger n.
+    probability of each point.  Limited to n <= Y_DISTRIBUTION_N_MAX (the
+    DP is O(t^2)); use y_moments alone for larger n.
     """
-    if n > max_n:
-        raise ValueError(f"y_distribution is limited to n <= {max_n}")
+    if n > Y_DISTRIBUTION_N_MAX:
+        raise ValueError(f"y_distribution is limited to n <= {Y_DISTRIBUTION_N_MAX}")
     if not 0.0 < a <= 1.0:
         raise ValueError("a must lie in (0, 1]")
     k0 = round(a * n)

@@ -74,10 +74,16 @@ _PERMS_CACHE: dict = {}
 
 
 def all_perms(n):
-    """All permutations of 0..n-1 in lexicographic order, as an int8 array."""
+    """All permutations of 0..n-1 in lexicographic order, as an int8 array.
+
+    Every table and distribution on S_n is sized from this one, so it is
+    where an n is refused, before anything of n! entries is built.
+    """
     if n not in _PERMS_CACHE:
+        if n < 0:
+            raise ValueError("n must be >= 0")
         if n > ENUM_N_MAX:
-            raise CapabilityError(f"exact permutation tables capped at n <= {ENUM_N_MAX}")
+            raise CapabilityError(f"exact computations capped at n <= {ENUM_N_MAX}")
         _PERMS_CACHE[n] = np.array(
             list(itertools.permutations(range(n))), dtype=np.int8
         )
@@ -110,9 +116,10 @@ def perm_rank(perm):
 class PermDistribution:
     """Dense distribution over S_n, indexed by lexicographic (Lehmer) rank.
 
-    Probabilities are Fractions (object dtype, ``exact``; the default at
-    n <= 5) or float64.  Decks are identified with their order arrays
-    (0-based: entry p is the card in position p+1).
+    The constructors pick the number type from n alone: Fractions (object
+    dtype, ``exact``) at n <= EXACT_N_MAX = 5, float64 at 6 and 7.  Decks
+    are identified with their order arrays (0-based: entry p is the card in
+    position p+1).
     """
 
     n: int
@@ -122,54 +129,31 @@ class PermDistribution:
     def exact(self):
         return self.probs.dtype == object
 
+    @staticmethod
+    def _one(n):  # the number type follows n alone
+        return Fraction(1) if n <= EXACT_N_MAX else 1.0
+
     @classmethod
-    def point_mass(cls, n, order=None, exact=None):
+    def point_mass(cls, n, order=None):
         if order is not None and sorted(order) != list(range(1, n + 1)):
             raise ValueError("order must be a permutation of 1..n")
-        if n > ENUM_N_MAX:
-            raise CapabilityError(f"exact distributions capped at n <= {ENUM_N_MAX}")
-        exact = (n <= EXACT_N_MAX) if exact is None else exact
-        size = math.factorial(n)
-        idx = 0 if order is None else perm_rank([c - 1 for c in order])
-        if exact:
-            probs = np.array([Fraction(0)] * size, dtype=object)
-            probs[idx] = Fraction(1)
-        else:
-            probs = np.zeros(size)
-            probs[idx] = 1.0
+        one = cls._one(n)
+        probs = np.full(len(all_perms(n)), 0 * one)
+        probs[0 if order is None else perm_rank([c - 1 for c in order])] = one
         return cls(n=n, probs=probs)
 
     @classmethod
-    def uniform(cls, n, exact=None):
-        if n > ENUM_N_MAX:
-            raise CapabilityError(f"exact distributions capped at n <= {ENUM_N_MAX}")
-        exact = (n <= EXACT_N_MAX) if exact is None else exact
-        size = math.factorial(n)
-        if exact:
-            probs = np.array([Fraction(1, size)] * size, dtype=object)
-        else:
-            probs = np.full(size, 1.0 / size)
-        return cls(n=n, probs=probs)
-
-    def total(self):
-        return sum(self.probs) if self.exact else float(self.probs.sum())
-
-    def as_floats(self):
-        if self.exact:
-            return np.array([float(p) for p in self.probs])
-        return self.probs
+    def uniform(cls, n):
+        size = len(all_perms(n))
+        return cls(n=n, probs=np.full(size, cls._one(n) / size))
 
 
 def tv_to_uniform(dist):
-    """Total variation distance to the uniform distribution on S_n.
-
-    Exact (a Fraction) when the distribution is exact.
-    """
-    size = math.factorial(dist.n)
-    if dist.exact:
-        u = Fraction(1, size)
-        return sum(abs(p - u) for p in dist.probs) / 2
-    return float(np.abs(dist.probs - 1.0 / size).sum() / 2.0)
+    """Total variation distance to the uniform distribution on S_n: a
+    Fraction when the probabilities are Fractions, a float otherwise."""
+    size = len(dist.probs)
+    u = Fraction(1, size) if dist.exact else 1.0 / size
+    return np.abs(dist.probs - u).sum() / 2
 
 
 # --------------------------------------------------------------------------
@@ -286,8 +270,6 @@ def round_position_law(n, kind):
     CCRR).  Rational at n <= 5, float64 at 6 and 7.
     """
     kind = ShuffleKind(kind)
-    if n > ENUM_N_MAX:
-        raise CapabilityError(f"exact round laws capped at n <= {ENUM_N_MAX}")
     if kind is ShuffleKind.CCR:
         raise CapabilityError(
             "CCR rounds after the first are not position-driven; "
@@ -302,10 +284,7 @@ def round_position_law(n, kind):
 def exact_round_push(dist, kind):
     """Exact one-round pushforward of a distribution on S_n, step by step."""
     kind = ShuffleKind(kind)
-    n = dist.n
-    if n > ENUM_N_MAX:
-        raise CapabilityError(f"exact pushforward capped at n <= {ENUM_N_MAX}")
-    return PermDistribution(n=n, probs=_step_round(dist.probs, n, kind))
+    return PermDistribution(n=dist.n, probs=_step_round(dist.probs, dist.n, kind))
 
 
 def exact_single_card_kernel(n, kind):
@@ -338,8 +317,8 @@ class SingleCardStats:
 
     The card starting at depth a is followed through one CCRR round from
     the sorted deck; its final depth Z is bucketed by its own reinsertion
-    slot U (equal-width buckets over (0, 1]).  se_var is the fourth-moment
-    standard error of the sample variance.
+    slot U: bucket b holds U in (b/50, (b+1)/50].  se_var is the
+    fourth-moment standard error of the sample variance.
     """
 
     n: int
@@ -371,17 +350,17 @@ def empirical_single_card(n, a, reps, seed=12345):
         raise ValueError("reps must be >= 1")
     buckets = 50
     z_all = np.empty(reps)
-    u_all = np.empty(reps)
+    idx = np.empty(reps, dtype=np.int64)
     row_hist = np.zeros(n, dtype=np.int64)
     for done in range(0, reps, CHUNK_ROWS):
         r = min(CHUNK_ROWS, reps - done)
         slots = ReplicateStreams(seed, 1 + done, r).slots(n, n)
         z = card_round_positions(slots, k0)
         z_all[done : done + r] = z / n
-        u_all[done : done + r] = slots[:, k0 - 1] / n
+        u = slots[:, k0 - 1].astype(np.int64)  # in integers: a slot on an edge stays below it
+        idx[done : done + r] = (u * buckets + n - 1) // n - 1
         row_hist += np.bincount(z - 1, minlength=n)
     edges = np.arange(buckets + 1) / buckets
-    idx = np.ceil(u_all * buckets).astype(int) - 1
     counts = np.zeros(buckets, dtype=np.int64)
     means, variances, se_means, se_vars = np.zeros((4, buckets))
     for b in range(buckets):

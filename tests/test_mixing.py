@@ -24,6 +24,7 @@ from shuffle_spectra import (
 )
 from shuffle_spectra import batch, mixing
 from shuffle_spectra.batch import batch_round_positions
+from shuffle_spectra.deck import ReplicateStreams
 from shuffle_spectra.mixing import all_perms, perm_rank, rank_rows
 
 import brute
@@ -54,12 +55,46 @@ class TestPermDistribution:
         assert tv_to_uniform(PermDistribution.uniform(6)) == pytest.approx(0.0, abs=1e-15)
 
     def test_total_mass(self):
-        assert PermDistribution.point_mass(4).total() == 1
-        assert PermDistribution.uniform(6).total() == pytest.approx(1.0)
+        assert sum(PermDistribution.point_mass(4).probs) == 1
+        assert sum(PermDistribution.uniform(6).probs) == pytest.approx(1.0)
 
     def test_cap(self):
         with pytest.raises(CapabilityError):
             PermDistribution.point_mass(8)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("build", [
+        PermDistribution.point_mass,
+        PermDistribution.uniform,
+        lambda n: round_position_law(n, "ccrr"),
+        lambda n: exact_single_card_kernel(n, "ccrr"),
+    ], ids=["point_mass", "uniform", "round_position_law", "exact_single_card_kernel"])
+    def test_cap_fires_before_any_table(self, monkeypatch, build, n):
+        monkeypatch.setattr(mixing, "_PERMS_CACHE", {})
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapabilityError, match=r"^exact computations capped at n <= 7$"):
+                build(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the permutation table at n = 8 is 5 MB as tuples; any 12! vector is GBs
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("build", [PermDistribution.point_mass, PermDistribution.uniform])
+    def test_negative_n_rejected(self, build):
+        with pytest.raises(ValueError):
+            build(-1)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_number_type_follows_n(self, n):
+        point, flat = PermDistribution.point_mass(n), PermDistribution.uniform(n)
+        assert point.exact == flat.exact == (n <= 5)
+        tv = tv_to_uniform(point)
+        if n <= 5:
+            assert isinstance(tv, Fraction) and tv == 1 - Fraction(1, math.factorial(n))
+        else:
+            assert isinstance(tv, float) and tv == pytest.approx(1 - 1 / math.factorial(n))
 
     @pytest.mark.parametrize("order", [(1, 1, 3), (1, 2), (0, 1, 2), (2, 3, 4)])
     def test_point_mass_rejects_a_non_permutation(self, order):
@@ -182,13 +217,16 @@ class TestExactRoundPush:
         ("transpositions", 6, 1),
     ])
     def test_float_path_matches_rational_push(self, kind, n, rounds):
-        exact = PermDistribution.point_mass(n, exact=True)
-        approx = PermDistribution.point_mass(n, exact=False)
+        # the constructors give only n's own number type, and the push reads
+        # the type from the vector, so both start vectors are built directly
+        size = math.factorial(n)
+        exact = PermDistribution(n, np.array([Fraction(1)] + [Fraction(0)] * (size - 1)))
+        approx = PermDistribution(n, np.eye(1, size)[0])
         for _ in range(rounds):
             exact = exact_round_push(exact, kind)
             approx = exact_round_push(approx, kind)
         assert exact.exact and not approx.exact
-        np.testing.assert_allclose(approx.probs, exact.as_floats(), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(approx.probs, exact.probs.astype(float), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_ccrr_law_matches_batch_round_over_all_slot_vectors(self, n):
@@ -352,6 +390,18 @@ class TestEmpiricalSingleCard:
         monkeypatch.setattr(mixing, "ReplicateStreams", draw)
         with pytest.raises(ValueError, match="reps"):
             empirical_single_card(10, 0.5, reps)
+
+    @pytest.mark.parametrize("n", [25, 100, 1000])
+    def test_bucket_b_holds_u_in_its_half_open_fiftieth(self, n):
+        # U = slot / n sits in bucket b when b/50 < U <= (b+1)/50, compared
+        # in integers; a slot on an edge (14 of 100: 50 U = 7) is the top
+        # of the lower bucket
+        reps, k0 = 10_000, n // 2
+        stats = empirical_single_card(n, k0 / n, reps, seed=3)
+        u = ReplicateStreams(3, 1, reps).slots(n, n)[:, k0 - 1].astype(np.int64)
+        want = [np.count_nonzero((b * n < 50 * u) & (50 * u <= (b + 1) * n))
+                for b in range(50)]
+        assert stats.counts.tolist() == want
 
     def test_counts_and_histogram_consistent(self):
         stats = empirical_single_card(50, 0.5, 2000, seed=1)
